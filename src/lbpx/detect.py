@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Model, distance
-from .descriptor import grid_values
+import numpy as np
+
+from .classify import Model
+from .descriptor import _cell_edges
 from .errors import ModelMismatchError, ParameterError
 from .image import GrayImage
 from .lbp import lbp_map
@@ -38,6 +40,54 @@ def iou(a: Detection, b: Detection) -> float:
     return inter / union
 
 
+def _chi2_scores(
+    full: np.ndarray,
+    templates: np.ndarray,
+    map_size: tuple[int, int],
+    positions: tuple[int, int],
+    stride: int,
+) -> np.ndarray:
+    """Chi-square distance of each window's grid histogram to `templates[r, c]`.
+
+    Window (i, j) covers full[i*stride : i*stride + map_h, ...]. Counts come
+    one label b at a time from a padded summed-area table of `full == b`,
+    whose strided corner slices give a cell's count of b at every position
+    at once, so memory stays O(H*W) whatever the bin count. Each term is
+    (h-t)^2 / (h+t) as in `distance`, skipping h+t == 0; only the order in
+    which terms are summed differs from the per-window computation.
+    """
+    rows, cols, bins = templates.shape
+    map_h, map_w = map_size
+    ny, nx = positions
+    row_cells = _cell_edges(map_h, rows)
+    col_cells = _cell_edges(map_w, cols)
+    # a label absent from both the scene and the template adds 0 everywhere
+    present = np.bincount(full.reshape(-1), minlength=bins) > 0
+    labels = np.flatnonzero(present | (templates != 0).any(axis=(0, 1)))
+
+    span_y = (ny - 1) * stride + 1
+    span_x = (nx - 1) * stride + 1
+    sat = np.zeros((full.shape[0] + 1, full.shape[1] + 1), dtype=np.int32)
+    scores = np.zeros((ny, nx))
+    for b in labels:
+        np.cumsum(np.cumsum(full == b, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
+        # count of b in each column cell's strip, above every row of the table
+        strips = [
+            sat[:, x1 : x1 + span_x : stride] - sat[:, x0 : x0 + span_x : stride]
+            for x0, x1 in col_cells
+        ]
+        for r, (y0, y1) in enumerate(row_cells):
+            for c, (x0, x1) in enumerate(col_cells):
+                t = templates[r, c, b]
+                h = strips[c][y1 : y1 + span_y : stride] - strips[c][y0 : y0 + span_y : stride]
+                h = h / ((y1 - y0) * (x1 - x0))
+                total = h + t
+                h -= t
+                h *= h
+                scores += np.divide(h, total, out=np.zeros((ny, nx)), where=total > 0)
+    return scores
+
+
 def scan_detect(
     scene: GrayImage,
     template_model: Model,
@@ -65,8 +115,8 @@ def scan_detect(
         )
     if stride < 1:
         raise ParameterError(f"stride must be at least 1, got {stride}")
-    if threshold < 0:
-        raise ParameterError(f"threshold must be non-negative, got {threshold}")
+    if not threshold >= 0:
+        raise ParameterError(f"threshold must be a non-negative number, got {threshold}")
 
     params = template_model.params
     o = params.origin_offset
@@ -78,26 +128,33 @@ def scan_detect(
             f"{template_model.grid_rows}x{template_model.grid_cols} grid at origin offset {o}"
         )
 
+    rows, cols = template_model.grid_rows, template_model.grid_cols
+    descriptor_length = rows * cols * label_count(params.mapping, params.neighbors)
+    template = template_model.templates[0]
+    if len(template) != descriptor_length:
+        raise ParameterError(
+            f"descriptor lengths differ: {len(template)} vs {descriptor_length}"
+        )
+
     # The full-scene map restricted to a window equals that window's own map,
     # so one map computation serves every window position.
     full = lbp_map(scene, params).labels
-    bins = label_count(params.mapping, params.neighbors)
-    template = template_model.templates[0]
-
-    hits: list[Detection] = []
-    for y in range(0, scene.height - win_h + 1, stride):
-        for x in range(0, scene.width - win_w + 1, stride):
-            values = grid_values(
-                full[y : y + map_h, x : x + map_w],
-                template_model.grid_rows,
-                template_model.grid_cols,
-                bins,
-            )
-            score = distance(template, values, "chi2")
-            if score <= threshold:
-                hits.append(Detection(x=x, y=y, width=win_w, height=win_h, score=score))
-    hits.sort(key=lambda d: d.score)
-    return hits
+    scores = _chi2_scores(
+        full,
+        template.reshape(rows, cols, -1),
+        (map_h, map_w),
+        ((scene.height - win_h) // stride + 1, (scene.width - win_w) // stride + 1),
+        stride,
+    )
+    ys, xs = np.nonzero(scores <= threshold)
+    hit_scores = scores[ys, xs]
+    order = np.lexsort((xs, ys, hit_scores))
+    return [
+        Detection(x=x * stride, y=y * stride, width=win_w, height=win_h, score=score)
+        for y, x, score in zip(
+            ys[order].tolist(), xs[order].tolist(), hit_scores[order].tolist()
+        )
+    ]
 
 
 def nms(detections, iou_threshold: float) -> list[Detection]:
@@ -106,13 +163,27 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
     A box is dropped when its IoU with an already-kept box exceeds
     `iou_threshold`; output is sorted ascending by score. Ties keep their
     input order, which for scan_detect output is row-major scan order.
+    IoU is computed as in `iou`, against all remaining boxes at once.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ParameterError(f"iou threshold must lie in [0, 1], got {iou_threshold}")
-    pending = sorted(detections, key=lambda d: d.score)
+    ranked = sorted(detections, key=lambda d: d.score)
+    x0, y0, w, h = (
+        np.array([getattr(d, name) for d in ranked], dtype=np.int64)
+        for name in ("x", "y", "width", "height")
+    )
+    x1 = x0 + w - 1
+    y1 = y0 + h - 1
+    area = w * h
+    pending = np.arange(len(ranked))
     kept: list[Detection] = []
-    while pending:
-        best = pending.pop(0)
-        kept.append(best)
-        pending = [d for d in pending if iou(best, d) <= iou_threshold]
+    while pending.size:
+        best, rest = pending[0], pending[1:]
+        kept.append(ranked[best])
+        iw = np.maximum(0, np.minimum(x1[best], x1[rest]) - np.maximum(x0[best], x0[rest]) + 1)
+        ih = np.maximum(0, np.minimum(y1[best], y1[rest]) - np.maximum(y0[best], y0[rest]) + 1)
+        inter = iw * ih
+        union = area[best] + area[rest] - inter
+        overlap = np.divide(inter, union, out=np.zeros(len(rest)), where=inter != 0)
+        pending = rest[overlap <= iou_threshold]
     return kept

@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from lbpx import (
 from lbpx.cli import run_cli
 
 from conftest import texture_image, write_texture_corpus
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -342,6 +345,36 @@ class TestDetectCommand:
         assert code == 0
         for line in out.read_text().splitlines():
             json.loads(line)
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_threshold_exits_1(self, detection_setup, value, capsys):
+        scene_path, model_path = detection_setup
+        capsys.readouterr()
+        code = run_cli(
+            ["detect", "--scene", str(scene_path), "--model", str(model_path),
+             "--window", "16x16", f"--threshold={value}"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
+
+    @pytest.mark.parametrize(
+        "mapping, window, stride",
+        [("u2", "24x24", 8), ("u2", "24x24", 4), ("u2", "24x24", 1), ("riu2", "28x20", 3)],
+    )
+    def test_output_matches_golden(self, mapping, window, stride, capsys):
+        # goldens were written by the per-window scan (one histogram and one
+        # distance call per window) and its list-based NMS
+        capsys.readouterr()
+        code = run_cli(
+            ["detect", "--scene", str(GOLDEN / "detect_scene.pgm"),
+             "--model", str(GOLDEN / f"detect_model_{mapping}.json"),
+             "--window", window, "--stride", str(stride)]
+        )
+        assert code == 0
+        expected = (GOLDEN / f"detect_{mapping}_{window}_s{stride}.jsonl").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_bad_window_argument_exits_1(self, detection_setup):
         scene_path, model_path = detection_setup

@@ -1,24 +1,60 @@
 """IoU, sliding-window scan, and non-maximum suppression tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lbpx import (
+    MAPPING_MODES,
     Detection,
     GrayImage,
     LbpParams,
+    Model,
     ModelMismatchError,
     ParameterError,
     build_templates,
     distance,
     grid_descriptor,
     iou,
+    label_count,
     lbp_map,
     nms,
     scan_detect,
 )
+from lbpx.descriptor import grid_values
 
-from conftest import texture_image
+from conftest import random_image, texture_image
+
+
+def scan_oracle(scene, model, window, stride=1, threshold=float("inf")):
+    """Reference scan: one grid_values histogram and one distance call per window."""
+    win_w, win_h = window
+    params = model.params
+    o = params.origin_offset
+    full = lbp_map(scene, params).labels
+    bins = label_count(params.mapping, params.neighbors)
+    hits = []
+    for y in range(0, scene.height - win_h + 1, stride):
+        for x in range(0, scene.width - win_w + 1, stride):
+            cells = full[y : y + win_h - 2 * o, x : x + win_w - 2 * o]
+            values = grid_values(cells, model.grid_rows, model.grid_cols, bins)
+            score = distance(model.templates[0], values, "chi2")
+            if score <= threshold:
+                hits.append(Detection(x=x, y=y, width=win_w, height=win_h, score=score))
+    hits.sort(key=lambda d: d.score)
+    return hits
+
+
+def nms_oracle(detections, iou_threshold):
+    """Reference greedy suppression over Python lists, one `iou` call per pair."""
+    pending = sorted(detections, key=lambda d: d.score)
+    kept = []
+    while pending:
+        best = pending.pop(0)
+        kept.append(best)
+        pending = [d for d in pending if iou(best, d) <= iou_threshold]
+    return kept
 
 
 def checker_patch(size, lo=60, hi=180):
@@ -201,6 +237,37 @@ class TestScanDetect:
             scan_detect(scene, model, (16, 16), stride=0)
         with pytest.raises(ParameterError):
             scan_detect(scene, model, (16, 16), threshold=-1.0)
+        with pytest.raises(ParameterError):
+            scan_detect(scene, model, (16, 16), threshold=float("nan"))
+
+    def test_template_length_must_match_configuration(self, rng):
+        # a 3x3 u2 template (9 x 59 bins) under a raw configuration (9 x 256)
+        u2 = patch_model(checker_patch(16))
+        model = Model(
+            params=LbpParams(mapping="raw"),
+            grid_rows=3,
+            grid_cols=3,
+            class_labels=u2.class_labels,
+            templates=u2.templates,
+        )
+        with pytest.raises(ParameterError):
+            scan_detect(texture_image("flat", 32, rng), model, (16, 16))
+
+    def test_raw_scan_memory_stays_near_scene_size(self, rng):
+        # a bins x H x W int32 integral histogram of this scene would take 78 MB
+        scene = random_image(rng, 320, 240)
+        patch = random_image(rng, 32, 32)
+        model = build_templates(
+            [("t", grid_descriptor(lbp_map(patch, LbpParams(mapping="raw"))))]
+        )
+        tracemalloc.start()
+        try:
+            hits = scan_detect(scene, model, (32, 32), stride=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(hits) == 14 * 19
+        assert peak < 16 * 2**20
 
     def test_detect_then_nms_pipeline(self, rng):
         scene_px = rng.integers(100, 140, size=(48, 48), dtype=np.int64)
@@ -214,3 +281,68 @@ class TestScanDetect:
         # neighbors of the best hit were suppressed
         for other in hits[1:]:
             assert iou(best, other) <= 0.3
+
+
+SCAN_CONFIGS = [LbpParams(mapping=m) for m in MAPPING_MODES] + [
+    LbpParams(neighbors=8, radius=1.5, sampling="circular", mapping=m) for m in MAPPING_MODES
+]
+
+
+class TestScanMatchesPerWindowOracle:
+    @pytest.mark.parametrize(
+        "params", SCAN_CONFIGS, ids=[f"{p.sampling}-{p.mapping}" for p in SCAN_CONFIGS]
+    )
+    def test_positions_and_scores(self, params, rng):
+        # 31x29 windows leave remainder cells on a 3x3 grid in both samplings,
+        # and the 47x43 scenes are not multiples of any stride tried
+        noise = random_image(rng, 47, 43)
+        # stripes code to few labels, so most template labels are absent
+        stripes = texture_image("hstripes", 47, rng, noise=3)
+        stripes = GrayImage(stripes.pixels[:43])
+        crop = GrayImage(noise.pixels[6:35, 5:36])
+        model = build_templates(
+            [
+                ("t", grid_descriptor(lbp_map(crop, params))),
+                ("t", grid_descriptor(lbp_map(random_image(rng, 31, 29), params))),
+            ]
+        )
+        for scene in (noise, stripes):
+            for stride in range(1, 8):
+                want = scan_oracle(scene, model, (31, 29), stride)
+                got = scan_detect(scene, model, (31, 29), stride)
+                assert [(d.x, d.y) for d in got] == [(d.x, d.y) for d in want]
+                for g, w in zip(got, want):
+                    assert g.score == pytest.approx(w.score, abs=1e-12)
+            # a cutoff midway between two scores, which differ from the
+            # oracle's only in the last bits, and not at one of them
+            scores = sorted({d.score for d in want})
+            k = next(i for i in range(len(scores) // 2, len(scores))
+                     if scores[i + 1] - scores[i] > 1e-9)
+            cutoff = (scores[k] + scores[k + 1]) / 2
+            got = scan_detect(scene, model, (31, 29), 1, threshold=cutoff)
+            want = scan_oracle(scene, model, (31, 29), 1, threshold=cutoff)
+            assert [(d.x, d.y) for d in got] == [(d.x, d.y) for d in want]
+
+
+class TestNmsMatchesGreedyOracle:
+    @pytest.mark.parametrize("threshold", [0.0, 4 / 28, 0.3, 1.0])
+    def test_random_boxes_with_tied_scores(self, threshold, rng):
+        for _ in range(30):
+            boxes = [
+                Detection(
+                    int(rng.integers(0, 40)),
+                    int(rng.integers(0, 40)),
+                    int(rng.integers(1, 16)),
+                    int(rng.integers(1, 16)),
+                    float(rng.integers(0, 6)) / 4,
+                )
+                for _ in range(int(rng.integers(0, 60)))
+            ]
+            # diagonal neighbors on this 4x4-box lattice overlap at IoU exactly 4/28
+            boxes += [
+                Detection(2 * i, 2 * j, 4, 4, float(rng.integers(0, 3)))
+                for i in range(4)
+                for j in range(4)
+            ]
+            boxes = [boxes[i] for i in rng.permutation(len(boxes))]
+            assert nms(boxes, threshold) == nms_oracle(boxes, threshold)
