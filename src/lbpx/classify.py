@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .descriptor import GridDescriptor
 from .errors import ModelFormatError, ModelMismatchError, ParameterError, TrainingError
+from .image import fields_equal, frozen_array
 from .lbp import LbpParams
 
 METRICS = ("chi2", "wchi2", "intersect", "l1")
@@ -16,12 +17,24 @@ METRICS = ("chi2", "wchi2", "intersect", "l1")
 MODEL_FORMAT_VERSION = 1
 
 
-def _chi2(a: np.ndarray, b: np.ndarray) -> float:
+def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=None) -> np.ndarray:
+    """Distance from each row of `templates` (K, D) to `query` (D,), as in `distance`.
+
+    Callers have already checked the shapes, the metric and the weights.
+    """
+    if metric == "intersect":
+        return 1.0 - np.minimum(templates, query).sum(axis=1)
+    if metric == "l1":
+        return np.abs(templates - query).sum(axis=1)
     # 0/0 bins are skipped rather than smoothed with an epsilon
-    total = a + b
-    mask = total > 0
-    diff = a[mask] - b[mask]
-    return float(np.sum(diff * diff / total[mask]))
+    total = templates + query
+    diff = templates - query
+    diff *= diff
+    terms = np.divide(diff, total, out=np.zeros_like(total), where=total > 0)
+    if metric == "chi2":
+        return terms.sum(axis=1)
+    regions = terms.reshape(len(templates), len(weights), -1).sum(axis=2)
+    return (regions * weights).sum(axis=1)
 
 
 def distance(a, b, metric: str = "chi2", weights=None) -> float:
@@ -39,8 +52,6 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
         raise ParameterError(f"descriptor lengths differ: {len(a)} vs {len(b)}")
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if metric == "chi2":
-        return _chi2(a, b)
     if metric == "wchi2":
         if weights is None:
             raise ParameterError("wchi2 requires per-region weights")
@@ -51,14 +62,7 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
             )
         if np.any(weights < 0):
             raise ParameterError("region weights must be non-negative")
-        span = len(a) // len(weights)
-        total = 0.0
-        for r, w in enumerate(weights):
-            total += float(w) * _chi2(a[r * span : (r + 1) * span], b[r * span : (r + 1) * span])
-        return total
-    if metric == "intersect":
-        return float(1.0 - np.sum(np.minimum(a, b)))
-    return float(np.sum(np.abs(a - b)))
+    return float(_distances(a[np.newaxis], b, metric, weights)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +70,9 @@ class Model:
     """Per-class template descriptors plus the configuration that produced them.
 
     Class labels are unique and stored in ascending lexicographic order;
-    templates[i] belongs to class_labels[i].
+    templates[i] belongs to class_labels[i]. Every region of the
+    rows x cols grid has the same number of bins. Templates and the
+    optional per-region weights are finite and non-negative.
     """
 
     params: LbpParams
@@ -78,45 +84,35 @@ class Model:
     format_version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.templates, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "templates", arr)
-        if self.region_weights is not None:
-            weights = np.ascontiguousarray(self.region_weights, dtype=np.float64)
-            weights.setflags(write=False)
+        labels = self.class_labels
+        if not labels or list(labels) != sorted(set(labels)):
+            raise ParameterError(f"class labels must be non-empty, unique and sorted: {labels!r}")
+        if self.grid_rows < 1 or self.grid_cols < 1:
+            raise ParameterError(f"grid {self.grid_rows}x{self.grid_cols} has no cells")
+        regions = self.grid_rows * self.grid_cols
+        templates = frozen_array(self.templates, np.float64)
+        if templates.ndim != 2 or len(templates) != len(labels) or templates.shape[1] % regions:
+            raise ParameterError(
+                f"templates of shape {templates.shape} are not one row per class "
+                f"({len(labels)}) split into {regions} equal regions"
+            )
+        object.__setattr__(self, "templates", templates)
+        weights = self.region_weights
+        if weights is not None:
+            weights = frozen_array(weights, np.float64)
+            if weights.shape != (regions,):
+                raise ParameterError(f"need {regions} region weights, got shape {weights.shape}")
             object.__setattr__(self, "region_weights", weights)
+        for name, values in (("template bins", templates), ("region weights", weights)):
+            # NaN fails both comparisons
+            if values is not None and not np.all((values >= 0) & (values < np.inf)):
+                raise ParameterError(f"{name} must be finite and non-negative")
 
     @property
     def n_classes(self) -> int:
         return len(self.class_labels)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Model):
-            return NotImplemented
-        if self.region_weights is None or other.region_weights is None:
-            weights_equal = self.region_weights is None and other.region_weights is None
-        else:
-            weights_equal = bool(np.array_equal(self.region_weights, other.region_weights))
-        return (
-            self.params == other.params
-            and self.grid_rows == other.grid_rows
-            and self.grid_cols == other.grid_cols
-            and self.class_labels == other.class_labels
-            and self.format_version == other.format_version
-            and bool(np.array_equal(self.templates, other.templates))
-            and weights_equal
-        )
-
-
-def _renormalize_regions(values: np.ndarray, region_count: int) -> np.ndarray:
-    span = len(values) // region_count
-    out = values.copy()
-    for r in range(region_count):
-        chunk = out[r * span : (r + 1) * span]
-        total = chunk.sum()
-        if total > 0:
-            chunk /= total
-    return out
+    __eq__ = fields_equal
 
 
 def build_templates(samples, region_weights=None) -> Model:
@@ -146,30 +142,23 @@ def build_templates(samples, region_weights=None) -> Model:
         by_class.setdefault(label, []).append(desc.values)
 
     labels = tuple(sorted(by_class))
-    region_count = reference.region_count
-    templates = np.empty((len(labels), len(reference.values)), dtype=np.float64)
-    for i, label in enumerate(labels):
-        mean = np.mean(by_class[label], axis=0)
-        templates[i] = _renormalize_regions(mean, region_count)
-
-    weights = None
-    if region_weights is not None:
-        weights = np.asarray(region_weights, dtype=np.float64).reshape(-1)
-        if len(weights) != region_count:
-            raise TrainingError(
-                f"expected {region_count} region weights, got {len(weights)}"
-            )
-        if np.any(weights < 0):
-            raise TrainingError("region weights must be non-negative")
-
-    return Model(
-        params=reference.params,
-        grid_rows=reference.grid_rows,
-        grid_cols=reference.grid_cols,
-        class_labels=labels,
-        templates=templates,
-        region_weights=weights,
-    )
+    means = np.array([np.mean(by_class[label], axis=0) for label in labels])
+    try:
+        # the Model checks the region layout the reshape below relies on
+        model = Model(
+            params=reference.params,
+            grid_rows=reference.grid_rows,
+            grid_cols=reference.grid_cols,
+            class_labels=labels,
+            templates=means,
+            region_weights=region_weights,
+        )
+    except ParameterError as exc:
+        raise TrainingError(str(exc)) from None
+    regions = means.reshape(len(labels), reference.region_count, -1)
+    sums = regions.sum(axis=2, keepdims=True)
+    np.divide(regions, sums, out=regions, where=sums > 0)
+    return replace(model, templates=means)
 
 
 def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[str, np.ndarray]:
@@ -184,12 +173,11 @@ def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[
         or len(query.values) != model.templates.shape[1]
     ):
         raise ModelMismatchError("query descriptor configuration does not match the model")
-    weights = model.region_weights if metric == "wchi2" else None
-    if metric == "wchi2" and weights is None:
+    if metric not in METRICS:
+        raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if metric == "wchi2" and model.region_weights is None:
         raise ParameterError("wchi2 requires a model with region weights")
-    scores = np.array(
-        [distance(model.templates[i], query.values, metric, weights) for i in range(model.n_classes)]
-    )
+    scores = _distances(model.templates, query.values, metric, model.region_weights)
     # labels are sorted, so the first minimum is the lexicographically smallest
     winner = int(np.argmin(scores))
     return model.class_labels[winner], scores
@@ -221,33 +209,23 @@ def deserialize_model(text: str) -> Model:
             raise ModelFormatError(f"unsupported model format version {version}")
         params = LbpParams.from_json_dict(doc["params"])
         rows, cols = (int(v) for v in doc["grid"])
-        classes = doc["classes"]
-        labels = tuple(str(entry["label"]) for entry in classes)
-        if len(set(labels)) != len(labels):
-            raise ModelFormatError("duplicate class labels in model file")
-        if labels != tuple(sorted(labels)):
-            raise ModelFormatError("model classes must be sorted by label")
-        if not labels:
-            raise ModelFormatError("model contains no classes")
-        templates = np.array([entry["template"] for entry in classes], dtype=np.float64)
-        if templates.ndim != 2:
-            raise ModelFormatError("class templates must share one length")
-        weights = None
-        if "weights" in doc and doc["weights"] is not None:
-            weights = np.array(doc["weights"], dtype=np.float64)
-    except ModelFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = tuple(str(entry["label"]) for entry in doc["classes"])
+        templates = [entry["template"] for entry in doc["classes"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
-    return Model(
-        params=params,
-        grid_rows=rows,
-        grid_cols=cols,
-        class_labels=labels,
-        templates=templates,
-        region_weights=weights,
-        format_version=version,
-    )
+    # a bad params block above stays a ParameterError (exit 1); bad values below exit 2
+    try:
+        return Model(
+            params=params,
+            grid_rows=rows,
+            grid_cols=cols,
+            class_labels=labels,
+            templates=templates,
+            region_weights=doc.get("weights"),
+            format_version=version,
+        )
+    except (ParameterError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"invalid model file: {exc}") from None
 
 
 def save_model(model: Model, path) -> None:

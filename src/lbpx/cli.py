@@ -1,8 +1,9 @@
 """Batch command-line interface.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 I/O or file format
-error, 3 model/config/evaluation mismatch. Outputs are byte-reproducible
-for identical inputs; timing figures from `bench` are the one exception.
+error, 3 model/config/evaluation mismatch; each error carries its own as
+`LbpxError.exit_code`. Outputs are byte-reproducible for identical inputs;
+timing figures from `bench` are the one exception.
 """
 
 from __future__ import annotations
@@ -16,17 +17,7 @@ from pathlib import Path
 from .classify import METRICS, load_model, predict, serialize_model
 from .descriptor import grid_descriptor
 from .detect import nms, scan_detect
-from .errors import (
-    BoundsError,
-    CorruptMapError,
-    EvaluationError,
-    ManifestError,
-    ModelFormatError,
-    ModelMismatchError,
-    ParameterError,
-    PgmFormatError,
-    TrainingError,
-)
+from .errors import LbpxError, ParameterError
 from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
 from .lbp import LbpParams, lbp_map, lbp_map_to_image
 from .image import load_pgm_file, save_pgm_file
@@ -236,8 +227,6 @@ def _cmd_bench(args) -> int:
     cap = int(os.environ.get(THREAD_CAP_ENV, "0") or "0")
     if cap > 0:
         threads = min(threads, cap)
-    if threads < 1 or args.iterations < 1:
-        raise ParameterError("iterations and threads must be at least 1")
     result = benchmark_fps(img, params, iterations=args.iterations, threads=threads)
     config = json.dumps(params.to_json_dict())
     sys.stdout.write(
@@ -272,20 +261,14 @@ def run_cli(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ParameterError, BoundsError, CorruptMapError, TrainingError) as exc:
+    except LbpxError as exc:
         print(f"lbpx: {exc}", file=sys.stderr)
-        return 1
-    except (PgmFormatError, ManifestError, ModelFormatError) as exc:
-        print(f"lbpx: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         name = getattr(exc, "filename", None)
         detail = f"{name}: {exc.strerror}" if name else str(exc)
         print(f"lbpx: {detail}", file=sys.stderr)
         return 2
-    except (ModelMismatchError, EvaluationError) as exc:
-        print(f"lbpx: {exc}", file=sys.stderr)
-        return 3
 
 
 def main() -> None:

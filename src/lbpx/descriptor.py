@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, CorruptMapError, ParameterError
+from .image import fields_equal, frozen_array
 from .lbp import LbpMap, LbpParams
 from .mapping import label_count
 
@@ -19,21 +20,9 @@ class GridDescriptor:
     grid_cols: int
     params: LbpParams
     values: np.ndarray
-    region_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        if self.region_weights is not None:
-            weights = np.ascontiguousarray(self.region_weights, dtype=np.float64)
-            if len(weights) != self.grid_rows * self.grid_cols:
-                raise ParameterError(
-                    f"expected {self.grid_rows * self.grid_cols} region weights, "
-                    f"got {len(weights)}"
-                )
-            weights.setflags(write=False)
-            object.__setattr__(self, "region_weights", weights)
+        object.__setattr__(self, "values", frozen_array(self.values, np.float64))
 
     @property
     def region_count(self) -> int:
@@ -43,20 +32,7 @@ class GridDescriptor:
     def bin_count(self) -> int:
         return len(self.values) // self.region_count
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridDescriptor):
-            return NotImplemented
-        if self.region_weights is None or other.region_weights is None:
-            weights_equal = self.region_weights is None and other.region_weights is None
-        else:
-            weights_equal = bool(np.array_equal(self.region_weights, other.region_weights))
-        return (
-            self.grid_rows == other.grid_rows
-            and self.grid_cols == other.grid_cols
-            and self.params == other.params
-            and bool(np.array_equal(self.values, other.values))
-            and weights_equal
-        )
+    __eq__ = fields_equal
 
     def to_json_dict(self) -> dict:
         return {

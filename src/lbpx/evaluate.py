@@ -14,7 +14,7 @@ import numpy as np
 from .classify import Model, build_templates, predict
 from .descriptor import grid_descriptor
 from .errors import EvaluationError, ManifestError, ParameterError
-from .image import GrayImage, load_pgm_file
+from .image import GrayImage, fields_equal, frozen_array, load_pgm_file
 from .lbp import LbpParams, lbp_map
 
 MANIFEST_HEADER = ("path", "label", "split")
@@ -96,24 +96,9 @@ class EvalReport:
     fps: float | None = None
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.confusion, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "confusion", arr)
+        object.__setattr__(self, "confusion", frozen_array(self.confusion, np.int64))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvalReport):
-            return NotImplemented
-        return (
-            self.accuracy == other.accuracy
-            and self.class_labels == other.class_labels
-            and bool(np.array_equal(self.confusion, other.confusion))
-            and self.n_test == other.n_test
-            and self.params == other.params
-            and self.grid_rows == other.grid_rows
-            and self.grid_cols == other.grid_cols
-            and self.metric == other.metric
-            and self.fps == other.fps
-        )
+    __eq__ = fields_equal
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,10 +108,7 @@ class EvalReport:
             "confusion": [[int(v) for v in row] for row in self.confusion],
             "fps": self.fps,
             "config": {
-                "neighbors": self.params.neighbors,
-                "radius": self.params.radius,
-                "sampling": self.params.sampling,
-                "mapping": self.params.mapping,
+                **self.params.to_json_dict(),
                 "grid": [self.grid_rows, self.grid_cols],
                 "metric": self.metric,
             },
@@ -140,12 +122,7 @@ class EvalReport:
             class_labels=tuple(str(c) for c in d["classes"]),
             confusion=np.array(d["confusion"], dtype=np.int64),
             n_test=int(d["n_test"]),
-            params=LbpParams(
-                neighbors=int(config["neighbors"]),
-                radius=float(config["radius"]),
-                sampling=str(config["sampling"]),
-                mapping=str(config["mapping"]),
-            ),
+            params=LbpParams.from_json_dict(config),
             grid_rows=int(config["grid"][0]),
             grid_cols=int(config["grid"][1]),
             metric=str(config["metric"]),

@@ -3,13 +3,31 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import BoundsError, ParameterError, PgmFormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def frozen_array(values, dtype) -> np.ndarray:
+    """Read-only C-contiguous copy of `values`; the caller's array stays writable."""
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def fields_equal(self, other) -> bool:
+    """`__eq__` for dataclasses with array fields: arrays compare by shape and value."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+        for a, b in pairs
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,9 +47,7 @@ class GrayImage:
                 raise ParameterError(f"image values must be integers, got dtype {arr.dtype}")
             if arr.size and (arr.min() < 0 or arr.max() > 255):
                 raise ParameterError("image values must lie in [0, 255]")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        object.__setattr__(self, "pixels", frozen_array(arr, np.uint8))
 
     @property
     def width(self) -> int:
@@ -46,12 +62,7 @@ class GrayImage:
         """Flat row-major view: pixel (x, y) at data[y * width + x]."""
         return self.pixels.reshape(-1)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GrayImage):
-            return NotImplemented
-        return self.pixels.shape == other.pixels.shape and bool(
-            np.array_equal(self.pixels, other.pixels)
-        )
+    __eq__ = fields_equal
 
     def __repr__(self) -> str:
         return f"GrayImage({self.width}x{self.height})"
@@ -64,9 +75,7 @@ class IntegralImage:
     sums: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.sums, dtype=np.int64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "sums", arr)
+        object.__setattr__(self, "sums", frozen_array(self.sums, np.int64))
 
     @property
     def width(self) -> int:

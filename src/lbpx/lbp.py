@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mapping as _mapping
 from .errors import BoundsError, ParameterError
-from .image import GrayImage, bilinear_sample
+from .image import GrayImage, bilinear_sample, fields_equal, frozen_array
 
 SAMPLING_MODES = ("square3x3", "circular")
 
@@ -57,8 +57,8 @@ class LbpParams:
             )
         if self.sampling == "square3x3" and self.neighbors != 8:
             raise ParameterError("square3x3 sampling requires exactly 8 neighbors")
-        if not self.radius > 0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < math.inf:
+            raise ParameterError(f"radius must be positive and finite, got {self.radius}")
 
     @property
     def origin_offset(self) -> int:
@@ -100,15 +100,13 @@ class LbpMap:
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.labels, dtype=np.int32)
+        arr = frozen_array(self.labels, np.int32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError("label map must be a non-empty 2-D array")
         if arr.size and (arr.min() < 0 or arr.max() >= self.params.label_count):
             raise ParameterError(
                 f"labels must lie in [0, {self.params.label_count}) for this configuration"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
 
     @property
@@ -119,14 +117,7 @@ class LbpMap:
     def height(self) -> int:
         return self.labels.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LbpMap):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and self.origin_offset == other.origin_offset
-            and bool(np.array_equal(self.labels, other.labels))
-        )
+    __eq__ = fields_equal
 
     def __repr__(self) -> str:
         return f"LbpMap({self.width}x{self.height}, {self.params})"

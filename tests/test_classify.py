@@ -1,6 +1,7 @@
 """Distance metric, template building, and model serialization tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,14 +27,15 @@ from lbpx import (
 
 from conftest import TEXTURE_KINDS, texture_image
 
+GOLDEN = Path(__file__).parent / "golden"
 
-def make_descriptor(values, grid_rows=1, grid_cols=1, weights=None):
+
+def make_descriptor(values, grid_rows=1, grid_cols=1):
     return GridDescriptor(
         grid_rows=grid_rows,
         grid_cols=grid_cols,
         params=LbpParams(),
         values=np.asarray(values, dtype=np.float64),
-        region_weights=weights,
     )
 
 
@@ -176,6 +178,23 @@ class TestBuildTemplates:
         with pytest.raises(TrainingError):
             build_templates([("x", desc)], region_weights=[1.0, -2.0])
 
+    @pytest.mark.parametrize(
+        "values, weights",
+        [([0.5, np.nan, 0.5, 0.5], None), ([0.5, np.inf, 0.5, 0.5], None),
+         ([0.5, 0.5, 0.5, 0.5], [1.0, np.inf]), ([0.5, 0.5, 0.5, 0.5], [1.0, np.nan])],
+        ids=["nan-bin", "inf-bin", "inf-weight", "nan-weight"],
+    )
+    def test_non_finite_input_raises(self, values, weights):
+        desc = make_descriptor(values, grid_rows=2, grid_cols=1)
+        with pytest.raises(TrainingError):
+            build_templates([("x", desc)], region_weights=weights)
+
+    def test_weight_count_must_equal_region_count(self):
+        # 3 weights divide a 9-region template's length but do not match its grid
+        desc = make_descriptor(np.full(27, 1 / 3), grid_rows=3, grid_cols=3)
+        with pytest.raises(TrainingError):
+            build_templates([("x", desc)], region_weights=[1.0, 1.0, 1.0])
+
 
 class TestPredict:
     def make_model(self):
@@ -239,6 +258,24 @@ class TestPredict:
         _, scores = predict(model, query, "wchi2")
         # first region differs but carries zero weight
         assert scores[0] == 0.0
+
+    @pytest.mark.parametrize("metric", ["chi2", "wchi2", "intersect", "l1"])
+    def test_scores_match_distance_oracle(self, metric, rng):
+        for _ in range(20):
+            templates = rng.random((5, 9 * 7)) * (rng.random((5, 9 * 7)) < 0.6)
+            weights = rng.random(9) * 3
+            model = Model(LbpParams(), 3, 3, tuple("abcde"), templates, region_weights=weights)
+            query = rng.random(9 * 7) * (rng.random(9 * 7) < 0.6)
+            _, scores = predict(model, make_descriptor(query, 3, 3), metric)
+            expected = [distance(t, query, metric, weights) for t in templates]
+            if metric in ("intersect", "l1"):
+                assert scores.tolist() == expected
+            else:
+                assert scores == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_unknown_metric_raises(self):
+        with pytest.raises(ParameterError):
+            predict(self.make_model(), make_descriptor([1.0, 0.0]), "cosine")
 
     def test_textures_classify_to_their_own_class(self, rng):
         samples = []
@@ -326,6 +363,86 @@ class TestModelSerialization:
             deserialize_model(json.dumps(doc))
 
 
+class TestModelInvalidValues:
+    """Model files with impossible values fail to load instead of misclassifying."""
+
+    def golden_doc(self):
+        return json.loads((GOLDEN / "train_u2.json").read_text())
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -0.25], ids=["nan-bin", "inf-bin", "negative-bin"]
+    )
+    def test_rejects_bad_template_bin(self, value):
+        doc = self.golden_doc()
+        doc["classes"][1]["template"][7] = value
+        # json writes NaN and Infinity literals, which json.loads accepts
+        with pytest.raises(ModelFormatError):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 1.0, 1.0], [float("inf")] + [1.0] * 8, [float("nan")] + [1.0] * 8, [-1.0] * 9],
+        ids=["3-weights-on-3x3", "inf-weight", "nan-weight", "negative-weights"],
+    )
+    def test_rejects_bad_weights(self, weights):
+        doc = self.golden_doc()
+        doc["weights"] = weights
+        with pytest.raises(ModelFormatError):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("classes", 0, "template", 0), 10**400), (("grid", 0), float("inf")),
+         (("format_version",), float("inf"))],
+        ids=["huge-int-bin", "inf-grid", "inf-version"],
+    )
+    def test_rejects_out_of_range_numbers(self, path, value):
+        doc = self.golden_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ModelFormatError):
+            deserialize_model(json.dumps(doc))
+
+    def test_valid_weights_load(self):
+        doc = self.golden_doc()
+        doc["weights"] = [2.0] * 9
+        assert deserialize_model(json.dumps(doc)).region_weights.tolist() == [2.0] * 9
+
+    def test_invalid_params_block_stays_a_parameter_error(self):
+        doc = self.golden_doc()
+        doc["params"]["neighbors"] = 99
+        with pytest.raises(ParameterError):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"templates": np.ones((2, 4))},
+            {"templates": np.ones(4)},
+            {"templates": np.ones((1, 5))},
+            {"class_labels": ("b", "a"), "templates": np.ones((2, 4))},
+            {"class_labels": ("a", "a"), "templates": np.ones((2, 4))},
+            {"class_labels": ()},
+            {"grid_rows": 0},
+            {"region_weights": np.ones((2, 2))},
+        ],
+        ids=["rows-vs-classes", "1-d-templates", "length-vs-grid", "unsorted-labels",
+             "duplicate-labels", "no-classes", "zero-grid", "2-d-weights"],
+    )
+    def test_constructor_checks_invariants(self, kwargs):
+        fields = {
+            "params": LbpParams(),
+            "grid_rows": 2,
+            "grid_cols": 2,
+            "class_labels": ("a",),
+            "templates": np.ones((1, 4)),
+        }
+        with pytest.raises(ParameterError):
+            Model(**{**fields, **kwargs})
+
+
 class TestModelEquality:
     def test_equality_and_inequality(self):
         a = build_templates([("x", make_descriptor([1.0, 0.0]))])
@@ -334,6 +451,12 @@ class TestModelEquality:
         assert a == b
         assert a != c
         assert a != 42
+
+    def test_weights_take_part_in_equality(self):
+        plain = Model(LbpParams(), 1, 2, ("x",), np.ones((1, 4)))
+        weighted = Model(LbpParams(), 1, 2, ("x",), np.ones((1, 4)), region_weights=[1.0, 1.0])
+        assert plain != weighted
+        assert weighted == Model(LbpParams(), 1, 2, ("x",), np.ones((1, 4)), np.ones(2))
 
     def test_templates_are_immutable(self):
         model = build_templates([("x", make_descriptor([1.0, 0.0]))])

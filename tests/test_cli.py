@@ -7,8 +7,18 @@ import numpy as np
 import pytest
 
 from lbpx import (
+    BoundsError,
+    CorruptMapError,
+    EvaluationError,
     GrayImage,
     LbpParams,
+    LbpxError,
+    ManifestError,
+    ModelFormatError,
+    ModelMismatchError,
+    ParameterError,
+    PgmFormatError,
+    TrainingError,
     deserialize_model,
     evaluate,
     grid_descriptor,
@@ -19,6 +29,7 @@ from lbpx import (
     save_pgm,
     save_pgm_file,
 )
+from lbpx import cli
 from lbpx.cli import run_cli
 
 from conftest import texture_image, write_texture_corpus
@@ -152,6 +163,16 @@ class TestDescribeCommand:
         )
         assert code == 1
 
+    def test_infinite_radius_exits_1_without_traceback(self, sample_image, capsys):
+        code = run_cli(
+            ["describe", "--input", str(sample_image), "--sampling", "circular",
+             "--radius", "inf"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radius" in captured.err and "Traceback" not in captured.err
+
 
 class TestTrainCommand:
     def test_model_json_on_stdout(self, corpus, capsys):
@@ -248,6 +269,28 @@ class TestClassifyCommand:
              "--metric", "wchi2"]
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("template", float("nan")), ("template", float("inf")), ("template", -0.5),
+         ("weights", [1.0, 1.0, 1.0]), ("weights", [float("inf")] + [1.0] * 8)],
+        ids=["nan-bin", "inf-bin", "negative-bin", "3-weights-on-3x3", "inf-weight"],
+    )
+    def test_invalid_model_values_exit_2(self, field, value, tmp_path, sample_image, capsys):
+        doc = json.loads((GOLDEN / "train_u2.json").read_text())
+        if field == "template":
+            doc["classes"][1]["template"][7] = value
+        else:
+            doc["weights"] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(["classify", "--model", str(bad), "--input", str(sample_image)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lbpx: ")
 
 
 class TestEvaluateCommand:
@@ -396,6 +439,66 @@ class TestDetectCommand:
         assert code == 3
 
 
+class TestClassificationGoldens:
+    """Byte equality with outputs written by the per-class distance loop.
+
+    The corpus is 24 seeded 20x20 noisy textures; "riu2" is circular P8 R1.5
+    sampling with the riu2 mapping, "u2" the default operator. The wchi2
+    model is the trained one plus the weights below.
+    """
+
+    CORPUS = GOLDEN / "corpus"
+    FLAGS = {
+        "u2": [],
+        "riu2": ["--sampling", "circular", "--neighbors", "8", "--radius", "1.5",
+                 "--mapping", "riu2"],
+    }
+    WEIGHTS = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0]
+
+    def output(self, argv, capsys):
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("tag", ["u2", "riu2"])
+    def test_train_matches_golden(self, tag, capsys):
+        out = self.output(
+            ["train", "--manifest", str(self.CORPUS / "manifest.csv")] + self.FLAGS[tag], capsys
+        )
+        assert out == (GOLDEN / f"train_{tag}.json").read_text()
+
+    @pytest.mark.parametrize("metric", ["chi2", "intersect", "l1"])
+    @pytest.mark.parametrize("tag", ["u2", "riu2"])
+    def test_evaluate_matches_golden(self, tag, metric, capsys):
+        out = self.output(
+            ["evaluate", "--manifest", str(self.CORPUS / "manifest.csv"), "--metric", metric]
+            + self.FLAGS[tag],
+            capsys,
+        )
+        assert out == (GOLDEN / f"evaluate_{tag}_{metric}.json").read_text()
+
+    @pytest.mark.parametrize("metric", ["chi2", "wchi2", "intersect", "l1"])
+    @pytest.mark.parametrize("tag", ["u2", "riu2"])
+    def test_classify_matches_golden(self, tag, metric, tmp_path, capsys):
+        model = GOLDEN / f"train_{tag}.json"
+        if metric == "wchi2":
+            doc = json.loads(model.read_text())
+            doc["weights"] = self.WEIGHTS
+            model = tmp_path / "weighted.json"
+            model.write_text(json.dumps(doc), encoding="utf-8")
+        rows = (self.CORPUS / "manifest.csv").read_text().splitlines()[1:]
+        tests = [row.split(",")[0] for row in rows if row.endswith(",test")]
+        out = "".join(
+            self.output(
+                ["classify", "--model", str(model), "--input", str(self.CORPUS / name),
+                 "--metric", metric],
+                capsys,
+            )
+            for name in tests
+        )
+        assert out == (GOLDEN / f"classify_{tag}_{metric}.txt").read_text()
+
+
 class TestBenchCommand:
     def test_reports_throughput_json(self, sample_image, capsys):
         code = run_cli(
@@ -427,6 +530,41 @@ class TestBenchCommand:
 
     def test_bad_iteration_count_exits_1(self, sample_image):
         assert run_cli(["bench", "--input", str(sample_image), "--iterations", "0"]) == 1
+
+
+# the exit-code table in README.md
+EXIT_CODES = {
+    LbpxError: 1,
+    ParameterError: 1,
+    BoundsError: 1,
+    CorruptMapError: 1,
+    TrainingError: 1,
+    PgmFormatError: 2,
+    ManifestError: 2,
+    ModelFormatError: 2,
+    ModelMismatchError: 3,
+    EvaluationError: 3,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_is_pinned(self):
+        assert {LbpxError, *LbpxError.__subclasses__()} == set(EXIT_CODES)
+
+    @pytest.mark.parametrize(
+        "error, code", list(EXIT_CODES.items()), ids=[e.__name__ for e in EXIT_CODES]
+    )
+    def test_run_cli_returns_the_error_exit_code(self, error, code, monkeypatch, capsys):
+        assert error.exit_code == code
+
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "map", fail)
+        assert run_cli(["map", "--input", "in.pgm", "--output", "out.pgm"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lbpx: boom\n"
 
 
 class TestDeterminism:

@@ -155,14 +155,3 @@ class TestGridDescriptor:
         desc = grid_descriptor(lbp_map(img, LbpParams(mapping="riu2")), 2, 3)
         clone = GridDescriptor.from_json_dict(desc.to_json_dict())
         assert clone == desc
-
-    def test_region_weights_length_is_validated(self, rng):
-        desc = grid_descriptor(lbp_map(random_image(rng, 10, 10), LbpParams()), 2, 2)
-        with pytest.raises(ParameterError):
-            GridDescriptor(
-                grid_rows=2,
-                grid_cols=2,
-                params=desc.params,
-                values=desc.values,
-                region_weights=np.ones(3),
-            )

@@ -5,7 +5,13 @@ import pytest
 
 from lbpx import (
     BoundsError,
+    EvalReport,
     GrayImage,
+    GridDescriptor,
+    IntegralImage,
+    LbpMap,
+    LbpParams,
+    Model,
     ParameterError,
     PgmFormatError,
     bilinear_sample,
@@ -66,6 +72,43 @@ class TestGrayImage:
         assert a == b
         assert a != c
         assert a != "not an image"
+
+
+class TestFrozenArrays:
+    """Each constructor stores a read-only copy; the caller's array stays writable."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda a: GrayImage(a.astype(np.uint8)), "pixels"),
+            (lambda a: IntegralImage(a.astype(np.int64)), "sums"),
+            (lambda a: LbpMap(LbpParams(), 1, a.astype(np.int32)), "labels"),
+            (lambda a: GridDescriptor(1, 1, LbpParams(), a), "values"),
+            (lambda a: Model(LbpParams(), 1, 1, ("x", "y"), a), "templates"),
+            (
+                lambda a: EvalReport(1.0, ("x", "y"), a.astype(np.int64), 2, LbpParams(), 1, 1,
+                                     "chi2"),
+                "confusion",
+            ),
+        ],
+        ids=["GrayImage", "IntegralImage", "LbpMap", "GridDescriptor", "Model", "EvalReport"],
+    )
+    def test_caller_array_stays_writable(self, build, field):
+        src = np.ones((2, 2))
+        obj = build(src)
+        stored = getattr(obj, field)
+        src[0, 0] = 0.0
+        assert stored[0, 0] == 1
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 5
+
+    def test_model_weights_are_copied(self):
+        weights = np.ones(4)
+        model = Model(LbpParams(), 2, 2, ("x",), np.ones((1, 8)), region_weights=weights)
+        weights[0] = 3.0
+        assert model.region_weights[0] == 1.0
+        assert not model.region_weights.flags.writeable
 
 
 class TestLoadPgm:
