@@ -11,6 +11,7 @@ Conventions (load-bearing, shared by both operators):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ SAMPLING_MODES = ("square3x3", "circular")
 _RING_3X3 = ((-1, -1), (0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0))
 
 _SNAP_EPS = 1e-9
+
+# far beyond any sampling circle that fits a real image
+MAX_RADIUS = 65535.0
 
 
 @dataclass(frozen=True)
@@ -46,19 +50,11 @@ class LbpParams:
             raise ParameterError(
                 f"unknown sampling mode {self.sampling!r}, expected one of {SAMPLING_MODES}"
             )
-        if self.mapping not in _mapping.MAPPING_MODES:
-            raise ParameterError(
-                f"unknown mapping mode {self.mapping!r}, expected one of {_mapping.MAPPING_MODES}"
-            )
-        if not _mapping.MIN_NEIGHBORS <= self.neighbors <= _mapping.MAX_NEIGHBORS:
-            raise ParameterError(
-                f"neighbor count must be in [{_mapping.MIN_NEIGHBORS}, "
-                f"{_mapping.MAX_NEIGHBORS}], got {self.neighbors}"
-            )
+        _mapping.label_count(self.mapping, self.neighbors)  # validates both, builds no table
         if self.sampling == "square3x3" and self.neighbors != 8:
             raise ParameterError("square3x3 sampling requires exactly 8 neighbors")
-        if not 0 < self.radius < math.inf:
-            raise ParameterError(f"radius must be positive and finite, got {self.radius}")
+        if not 0 < self.radius <= MAX_RADIUS:
+            raise ParameterError(f"radius must be in (0, {MAX_RADIUS:g}], got {self.radius}")
 
     @property
     def origin_offset(self) -> int:
@@ -206,49 +202,52 @@ def _split_offset(delta: float) -> tuple[int, float]:
     return int(base), frac
 
 
-def _square3x3_codes(px: np.ndarray) -> np.ndarray:
-    center = px[1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
-    h, w = px.shape
-    for p, (dx, dy) in enumerate(_RING_3X3):
-        neighbor = px[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-        codes |= (neighbor >= center).astype(np.uint8) << (7 - p)
-    return codes.astype(np.int32)
+@functools.lru_cache(maxsize=128)
+def _sample_plan(sampling: str, neighbors: int, radius: float) -> tuple:
+    """(ix, fx, iy, fy) per sample, MSB first: integer part and fraction of each offset."""
+    offsets = _RING_3X3 if sampling == "square3x3" else circular_offsets(neighbors, radius)
+    return tuple(_split_offset(dx) + _split_offset(dy) for dx, dy in offsets)
 
 
-def _circular_codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
+def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
+    """Raw codes of every interior pixel, one bit per sample, MSB first.
+
+    Samples on the lattice compare the 8-bit pixels directly. The others use
+    the nested lerp of `bilinear_sample` (horizontal first, then vertical),
+    with the same float64 operations in the same order, so the codes equal
+    the scalar operator's bit for bit and constant areas stay exact.
+    """
     o = params.origin_offset
     h, w = px.shape
-    center_u8 = px[o : h - o, o : w - o]
-    center_f = center_u8.astype(np.float64)
-    codes = np.zeros(center_u8.shape, dtype=np.int32)
-    msb = params.neighbors - 1
-    for p, (dx, dy) in enumerate(circular_offsets(params.neighbors, params.radius)):
-        ix, fx = _split_offset(dx)
-        iy, fy = _split_offset(dy)
-
-        def shifted(sx: int, sy: int) -> np.ndarray:
-            return px[o + sy : h - o + sy, o + sx : w - o + sx]
-
-        if fx == 0.0 and fy == 0.0:
-            ge = shifted(ix, iy) >= center_u8
+    ch, cw = h - 2 * o, w - 2 * o
+    plan = _sample_plan(params.sampling, params.neighbors, params.radius)
+    codes = np.zeros((ch, cw), dtype=np.uint8 if params.neighbors <= 8 else np.uint32)
+    ge = np.empty((ch, cw), dtype=bool)
+    if any(fx or fy for _, fx, _, fy in plan):
+        f = px.astype(np.float64)
+        dfx = f[:, 1:] - f[:, :-1]  # exact: the pixels are integers
+        center_f = f[o : h - o, o : w - o]
+        lerp_x = np.empty((ch + 1, cw))
+        lerp_y = np.empty((ch, cw))
+    for ix, fx, iy, fy in plan:
+        rows = slice(o + iy, o + iy + ch + (1 if fy else 0))
+        cols = slice(o + ix, o + ix + cw)
+        if not (fx or fy):
+            np.greater_equal(px[rows, cols], px[o : h - o, o : w - o], out=ge)
         else:
-            # nested lerp keeps constant neighborhoods and lattice hits exact
-            s00 = shifted(ix, iy).astype(np.float64)
-            if fx == 0.0:
-                top = s00
-                bottom = shifted(ix, iy + 1).astype(np.float64)
-            elif fy == 0.0:
-                top = s00 + fx * (shifted(ix + 1, iy) - s00)
-                bottom = top
-            else:
-                s01 = shifted(ix + 1, iy).astype(np.float64)
-                s10 = shifted(ix, iy + 1).astype(np.float64)
-                s11 = shifted(ix + 1, iy + 1).astype(np.float64)
-                top = s00 + fx * (s01 - s00)
-                bottom = s10 + fx * (s11 - s10)
-            ge = top + fy * (bottom - top) >= center_f
-        codes |= ge.astype(np.int32) << (msb - p)
+            samples = f[rows, cols]
+            if fx:
+                samples = np.multiply(dfx[rows, cols], fx, out=lerp_x[: len(samples)])
+                samples += f[rows, cols]
+            if fy:
+                # row r is the top of map row r and the bottom of map row r - 1
+                np.subtract(samples[1:], samples[:-1], out=lerp_y)
+                lerp_y *= fy
+                lerp_y += samples[:-1]
+                samples = lerp_y
+            np.greater_equal(samples, center_f, out=ge)
+        codes <<= 1
+        codes |= ge.view(np.uint8)
     return codes
 
 
@@ -264,10 +263,7 @@ def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
             f"image {img.width}x{img.height} too small for origin offset {o}; "
             f"need at least {2 * o + 1}x{2 * o + 1}"
         )
-    if params.sampling == "square3x3":
-        codes = _square3x3_codes(img.pixels)
-    else:
-        codes = _circular_codes(img.pixels, params)
+    codes = _codes(img.pixels, params)
     if params.mapping != "raw":
         codes = _mapping.build_mapping(params.neighbors, params.mapping).apply(codes)
     return LbpMap(params=params, origin_offset=o, labels=codes)

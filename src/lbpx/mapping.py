@@ -15,6 +15,8 @@ between 0 and 1. Label spaces:
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +29,11 @@ MAX_NEIGHBORS = 24
 
 
 def _check_neighbors(neighbors: int) -> None:
-    if not MIN_NEIGHBORS <= neighbors <= MAX_NEIGHBORS:
+    integral = isinstance(neighbors, numbers.Integral)
+    if not (integral and MIN_NEIGHBORS <= neighbors <= MAX_NEIGHBORS):
         raise ParameterError(
-            f"neighbor count must be in [{MIN_NEIGHBORS}, {MAX_NEIGHBORS}], got {neighbors}"
+            f"neighbor count must be an integer in [{MIN_NEIGHBORS}, {MAX_NEIGHBORS}], "
+            f"got {neighbors}"
         )
 
 
@@ -51,10 +55,6 @@ class MappingTable:
         return self.table[codes]
 
 
-def _rotate_right(codes: np.ndarray, neighbors: int) -> np.ndarray:
-    return (codes >> 1) | ((codes & 1) << (neighbors - 1))
-
-
 def uniformity(code: int, neighbors: int) -> int:
     """Number of 0<->1 transitions in the circular P-bit string of `code`."""
     _check_neighbors(neighbors)
@@ -64,43 +64,45 @@ def uniformity(code: int, neighbors: int) -> int:
     return int(bin(code ^ rotated).count("1"))
 
 
+def _uniform_codes(neighbors: int) -> list[int]:
+    """The P*(P-1) + 2 uniform codes in ascending order: 0, all ones, and
+    every rotation of every run of 1 to P-1 ones."""
+    mask = (1 << neighbors) - 1
+    runs = [(1 << k) - 1 for k in range(1, neighbors)]
+    rotations = {(run << s | run >> (neighbors - s)) & mask for run in runs
+                 for s in range(neighbors)}
+    return sorted(rotations | {0, mask})
+
+
 @functools.lru_cache(maxsize=None)
 def build_mapping(neighbors: int, mode: str) -> MappingTable:
     """Build the full 2^P lookup table for the requested mapping mode."""
-    _check_neighbors(neighbors)
-    if mode not in MAPPING_MODES:
-        raise ParameterError(f"unknown mapping mode {mode!r}, expected one of {MAPPING_MODES}")
-
+    count = label_count(mode, neighbors)
     size = 1 << neighbors
-    codes = np.arange(size, dtype=np.uint32)
-
     if mode == "raw":
-        return MappingTable(neighbors, mode, codes.astype(np.int32), size)
-
-    transitions = np.bitwise_count(codes ^ _rotate_right(codes, neighbors))
-    uniform = transitions <= 2
-
-    if mode == "u2":
-        # uniform codes labeled in ascending code order, the rest share one bin
-        n_uniform = int(uniform.sum())
-        table = np.full(size, n_uniform, dtype=np.int32)
-        table[uniform] = np.arange(n_uniform, dtype=np.int32)
-        return MappingTable(neighbors, mode, table, n_uniform + 1)
-
-    if mode == "riu2":
-        table = np.full(size, neighbors + 1, dtype=np.int32)
-        table[uniform] = np.bitwise_count(codes[uniform]).astype(np.int32)
-        return MappingTable(neighbors, mode, table, neighbors + 2)
-
-    # ri: minimal value over all P bit-rotations, compacted ascending
-    reps = codes.copy()
-    rotated = codes
-    for _ in range(neighbors - 1):
-        rotated = _rotate_right(rotated, neighbors)
-        np.minimum(reps, rotated, out=reps)
-    uniq = np.unique(reps)
-    table = np.searchsorted(uniq, reps).astype(np.int32)
-    return MappingTable(neighbors, mode, table, len(uniq))
+        table = np.arange(size, dtype=np.int32)
+    elif mode in ("u2", "riu2"):
+        # non-uniform codes share the last label; u2 numbers the uniform codes
+        # in ascending order, riu2 labels them by their count of 1-bits
+        uniform = _uniform_codes(neighbors)
+        table = np.full(size, count - 1, dtype=np.int32)
+        table[uniform] = np.arange(count - 1) if mode == "u2" else [c.bit_count() for c in uniform]
+    else:
+        # ri: minimal bit-rotation, compacted in ascending representative order
+        reps = np.arange(size, dtype=np.uint32)
+        rotated = reps.copy()
+        low_bit = np.empty_like(reps)
+        for _ in range(neighbors - 1):
+            np.bitwise_and(rotated, 1, out=low_bit)
+            low_bit <<= neighbors - 1
+            rotated >>= 1
+            rotated |= low_bit
+            np.minimum(reps, rotated, out=reps)
+        del rotated, low_bit  # 128 MB at P=24, freed before the rank arrays
+        rank = np.cumsum(reps == np.arange(size, dtype=np.uint32), dtype=np.int32)
+        rank -= 1
+        table = rank[reps]
+    return MappingTable(neighbors, mode, table, count)
 
 
 def label_count(mode: str, neighbors: int) -> int:
@@ -113,5 +115,6 @@ def label_count(mode: str, neighbors: int) -> int:
     if mode == "riu2":
         return neighbors + 2
     if mode == "ri":
-        return build_mapping(neighbors, "ri").label_count
+        # binary necklaces of length P (Burnside: rotation by r fixes 2^gcd(r, P) codes)
+        return sum(1 << math.gcd(r, neighbors) for r in range(neighbors)) // neighbors
     raise ParameterError(f"unknown mapping mode {mode!r}, expected one of {MAPPING_MODES}")

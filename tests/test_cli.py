@@ -173,6 +173,17 @@ class TestDescribeCommand:
         assert captured.out == ""
         assert "radius" in captured.err and "Traceback" not in captured.err
 
+    def test_huge_radius_exits_1_with_a_short_message(self, sample_image, capsys):
+        code = run_cli(
+            ["describe", "--input", str(sample_image), "--sampling", "circular",
+             "--radius", "1e308"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radius" in captured.err and "Traceback" not in captured.err
+        assert len(captured.err.encode()) < 200
+
 
 class TestTrainCommand:
     def test_model_json_on_stdout(self, corpus, capsys):
@@ -444,7 +455,9 @@ class TestClassificationGoldens:
 
     The corpus is 24 seeded 20x20 noisy textures; "riu2" is circular P8 R1.5
     sampling with the riu2 mapping, "u2" the default operator. The wchi2
-    model is the trained one plus the weights below.
+    model is the trained one plus the weights below. The circular P16 R2 u2
+    and P24 R3 riu2 train goldens were written by the per-sample-temporary
+    circular kernel and the 2^P-pass table builds.
     """
 
     CORPUS = GOLDEN / "corpus"
@@ -452,6 +465,10 @@ class TestClassificationGoldens:
         "u2": [],
         "riu2": ["--sampling", "circular", "--neighbors", "8", "--radius", "1.5",
                  "--mapping", "riu2"],
+        "p16r2_u2": ["--sampling", "circular", "--neighbors", "16", "--radius", "2",
+                     "--mapping", "u2"],
+        "p24r3_riu2": ["--sampling", "circular", "--neighbors", "24", "--radius", "3",
+                       "--mapping", "riu2"],
     }
     WEIGHTS = [1.0, 2.0, 1.0, 2.0, 4.0, 2.0, 1.0, 2.0, 1.0]
 
@@ -460,7 +477,7 @@ class TestClassificationGoldens:
         assert run_cli(argv) == 0
         return capsys.readouterr().out
 
-    @pytest.mark.parametrize("tag", ["u2", "riu2"])
+    @pytest.mark.parametrize("tag", ["u2", "riu2", "p16r2_u2", "p24r3_riu2"])
     def test_train_matches_golden(self, tag, capsys):
         out = self.output(
             ["train", "--manifest", str(self.CORPUS / "manifest.csv")] + self.FLAGS[tag], capsys

@@ -58,6 +58,11 @@ class TestLbpParams:
             LbpParams(neighbors=25, sampling="circular")
         with pytest.raises(ParameterError):
             LbpParams(radius=0.0, sampling="circular")
+        with pytest.raises(ParameterError):
+            LbpParams(neighbors=8.5, sampling="circular")
+        with pytest.raises(ParameterError):
+            LbpParams(radius=65535.5, sampling="circular")
+        assert LbpParams(radius=65535.0, sampling="circular").origin_offset == 65535
 
     def test_json_round_trip(self):
         p = LbpParams(neighbors=12, radius=2.5, sampling="circular", mapping="riu2")
@@ -224,18 +229,21 @@ class TestLbpMap:
 
     @pytest.mark.parametrize(
         "neighbors,radius",
-        [(8, 1.0), (4, 1.0), (8, 1.5), (8, math.sqrt(2)), (12, 2.5), (16, 2.0)],
+        [(8, 1.0), (4, 1.0), (8, 1.5), (8, math.sqrt(2)), (12, 2.5), (16, 2.0),
+         (24, 3.0), (24, 1.0), (3, 0.5), (16, 5.3)],
     )
     def test_circular_map_positions_match_scalar_codes(self, rng, neighbors, radius):
-        img = random_image(rng, 14, 11)
         params = LbpParams(
             neighbors=neighbors, radius=radius, sampling="circular", mapping="raw"
         )
-        lmap = lbp_map(img, params)
-        o = lmap.origin_offset
-        for y in range(lmap.height):
-            for x in range(lmap.width):
-                assert lmap.labels[y, x] == lbp_code_circular(img, x + o, y + o, params)
+        o = params.origin_offset
+        # with three gray levels many interpolated samples land on or next to the center
+        for low, high in ((0, 256), (100, 103)):
+            img = random_image(rng, 2 * o + 12, 2 * o + 9, low=low, high=high)
+            lmap = lbp_map(img, params)
+            for y in range(lmap.height):
+                for x in range(lmap.width):
+                    assert lmap.labels[y, x] == lbp_code_circular(img, x + o, y + o, params)
 
     def test_mapping_is_applied_to_raw_codes(self, rng):
         img = random_image(rng, 10, 10)

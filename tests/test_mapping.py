@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from lbpx import MAPPING_MODES, ParameterError, build_mapping, label_count, uniformity
+from lbpx import (
+    MAPPING_MODES,
+    LbpParams,
+    ParameterError,
+    build_mapping,
+    label_count,
+    mapping,
+    uniformity,
+)
 
 
 def bits_of(code, neighbors):
@@ -23,6 +31,22 @@ def is_uniform_oracle(code, neighbors):
 def min_rotation_oracle(code, neighbors):
     s = bits_of(code, neighbors)
     return min(int(s[i:] + s[:i], 2) for i in range(neighbors))
+
+
+def reference_table(mode, neighbors):
+    """Label of every code, one code at a time, from uniformity() and bit rotations."""
+    codes = range(1 << neighbors)
+    if mode == "u2":
+        uniform = [c for c in codes if uniformity(c, neighbors) <= 2]
+        labels = {c: i for i, c in enumerate(uniform)}
+        return [labels.get(c, len(uniform)) for c in codes]
+    if mode == "riu2":
+        return [
+            bin(c).count("1") if uniformity(c, neighbors) <= 2 else neighbors + 1 for c in codes
+        ]
+    reps = [min_rotation_oracle(c, neighbors) for c in codes]
+    labels = {r: i for i, r in enumerate(sorted(set(reps)))}
+    return [labels[r] for r in reps]
 
 
 class TestUniformity:
@@ -130,6 +154,19 @@ class TestRiMapping:
         for label, rep in enumerate(reps):
             assert table[rep] == label
 
+    def test_closed_form_label_count_matches_table(self):
+        for neighbors in range(2, 21):
+            table = build_mapping(neighbors, "ri").table
+            assert label_count("ri", neighbors) == len(np.unique(table)) == table.max() + 1
+
+    def test_label_count_builds_no_table(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("label_count built a table")
+
+        monkeypatch.setattr(mapping, "build_mapping", fail)
+        assert label_count("ri", 24) == 699252
+        assert LbpParams(24, 3.0, "circular", "ri").label_count == 699252
+
     def test_distinct_orbits_get_distinct_labels(self):
         table = build_mapping(6, "ri").table
         by_label = {}
@@ -154,6 +191,12 @@ class TestTableInvariants:
             assert len(used) == table.label_count - 1
         else:
             assert len(used) == table.label_count
+
+    @pytest.mark.parametrize("mode", ["u2", "riu2", "ri"])
+    def test_tables_match_reference(self, mode):
+        for neighbors in range(2, 13):
+            expected = reference_table(mode, neighbors)
+            assert build_mapping(neighbors, mode).table.tolist() == expected
 
     @pytest.mark.parametrize("mode", MAPPING_MODES)
     def test_label_count_function_agrees_with_tables(self, mode):
