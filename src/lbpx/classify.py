@@ -10,7 +10,7 @@ import numpy as np
 from .descriptor import GridDescriptor
 from .errors import ModelFormatError, ModelMismatchError, ParameterError, TrainingError
 from .image import fields_equal, frozen_array
-from .lbp import LbpParams
+from .lbp import LbpParams, _json_int
 
 METRICS = ("chi2", "wchi2", "intersect", "l1")
 
@@ -204,11 +204,11 @@ def deserialize_model(text: str) -> Model:
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
     try:
-        version = int(doc["format_version"])
+        version = _json_int(doc["format_version"], "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version}")
         params = LbpParams.from_json_dict(doc["params"])
-        rows, cols = (int(v) for v in doc["grid"])
+        rows, cols = (_json_int(v, "grid size") for v in doc["grid"])
         labels = tuple(str(entry["label"]) for entry in doc["classes"])
         templates = [entry["template"] for entry in doc["classes"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .classify import METRICS, load_model, predict, serialize_model
 from .descriptor import grid_descriptor
-from .detect import nms, scan_detect
+from .detect import _scan, _suppress
 from .errors import LbpxError, ParameterError
 from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
 from .lbp import LbpParams, lbp_map, lbp_map_to_image
@@ -209,12 +209,13 @@ def _cmd_evaluate(args) -> int:
 def _cmd_detect(args) -> int:
     scene = load_pgm_file(args.scene)
     model = load_model(args.model)
-    window = _parse_pair(args.window, "window")
-    hits = scan_detect(scene, model, window, stride=args.stride, threshold=args.threshold)
-    hits = nms(hits, args.nms_iou)
+    win_w, win_h = _parse_pair(args.window, "window")
+    # the hits stay arrays through suppression; only kept boxes become lines
+    xs, ys, scores = _scan(scene, model, (win_w, win_h), args.stride, args.threshold)
+    keep = _suppress(xs, ys, win_w, win_h, args.nms_iou)
     lines = [
-        f'{{"x":{d.x},"y":{d.y},"w":{d.width},"h":{d.height},"score":{d.score:.6f}}}'
-        for d in hits
+        f'{{"x":{x},"y":{y},"w":{win_w},"h":{win_h},"score":{score:.6f}}}'
+        for x, y, score in zip(xs[keep].tolist(), ys[keep].tolist(), scores[keep].tolist())
     ]
     _emit_text("".join(line + "\n" for line in lines), args.output)
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,59 +50,68 @@ def _chi2_scores(
 ) -> np.ndarray:
     """Chi-square distance of each window's grid histogram to `templates[r, c]`.
 
-    Window (i, j) covers full[i*stride : i*stride + map_h, ...]. Counts come
-    one label b at a time from a padded summed-area table of `full == b`,
-    whose strided corner slices give a cell's count of b at every position
-    at once, so memory stays O(H*W) whatever the bin count. Each term is
-    (h-t)^2 / (h+t) as in `distance`, skipping h+t == 0; only the order in
-    which terms are summed differs from the per-window computation.
+    Window (i, j) covers full[i*stride : i*stride + map_h, ...]. All cell
+    corners lie on multiples of g = gcd(stride, cell edges) on each axis, so
+    counts come one label b at a time from a padded summed-area table of b's
+    count per g-by-g block, whose strided corner slices give a cell's count
+    at every position at once. The terms (h-t)^2 / (h+t), 0 where h+t == 0,
+    of each possible count are tabulated per cell with the arithmetic of
+    `distance`. Memory stays O(H*W) whatever the bin count; only the order
+    in which terms are summed differs from the per-window computation.
     """
     rows, cols, bins = templates.shape
     map_h, map_w = map_size
     ny, nx = positions
     row_cells = _cell_edges(map_h, rows)
     col_cells = _cell_edges(map_w, cols)
+    gy = math.gcd(stride, *(e for cell in row_cells for e in cell))
+    gx = math.gcd(stride, *(e for cell in col_cells for e in cell))
+    # pixels below or right of the last window are never counted
+    by = ((ny - 1) * stride + map_h) // gy
+    bx = ((nx - 1) * stride + map_w) // gx
+    crop = full[: by * gy, : bx * gx].reshape(-1)
+    block = (np.arange(by * gy) // gy)[:, None] * bx + np.arange(bx * gx) // gx
+    # block index of every pixel, grouped by label; the narrowest dtype that
+    # holds the labels makes the stable sort a radix sort
+    block = block.reshape(-1)[np.argsort(crop.astype(np.min_scalar_type(bins - 1)), kind="stable")]
+    counts = np.bincount(crop, minlength=bins)
     # a label absent from both the scene and the template adds 0 everywhere
-    present = np.bincount(full.reshape(-1), minlength=bins) > 0
-    labels = np.flatnonzero(present | (templates != 0).any(axis=(0, 1)))
+    labels = np.flatnonzero((counts > 0) | (templates != 0).any(axis=(0, 1)))
 
-    span_y = (ny - 1) * stride + 1
-    span_x = (nx - 1) * stride + 1
-    sat = np.zeros((full.shape[0] + 1, full.shape[1] + 1), dtype=np.int32)
+    areas = np.array([[(y1 - y0) * (x1 - x0) for x0, x1 in col_cells] for y0, y1 in row_cells])
+    sy, sx = stride // gy, stride // gx
+    span_y = (ny - 1) * sy + 1
+    span_x = (nx - 1) * sx + 1
+    sat = np.zeros((by + 1, bx + 1), dtype=np.int32)
     scores = np.zeros((ny, nx))
-    for b in labels:
-        np.cumsum(np.cumsum(full == b, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
+    for b, end in zip(labels, np.cumsum(counts[labels])):
+        blocks = np.bincount(block[end - counts[b] : end], minlength=by * bx).reshape(by, bx)
+        np.cumsum(np.cumsum(blocks, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
         # count of b in each column cell's strip, above every row of the table
         strips = [
-            sat[:, x1 : x1 + span_x : stride] - sat[:, x0 : x0 + span_x : stride]
+            sat[:, x1 // gx : x1 // gx + span_x : sx] - sat[:, x0 // gx : x0 // gx + span_x : sx]
             for x0, x1 in col_cells
         ]
+        # table[r, c, h] is the term of a cell (r, c) holding h pixels of b;
+        # h <= min(cell area, counts[b]), so longer rows are never read
+        k = np.arange(min(areas.max(), counts[b]) + 1) / areas[:, :, None]
+        t = templates[:, :, b, None]
+        total = k + t
+        k -= t
+        k *= k
+        table = np.divide(k, total, out=np.zeros(k.shape), where=total > 0)
         for r, (y0, y1) in enumerate(row_cells):
-            for c, (x0, x1) in enumerate(col_cells):
-                t = templates[r, c, b]
-                h = strips[c][y1 : y1 + span_y : stride] - strips[c][y0 : y0 + span_y : stride]
-                h = h / ((y1 - y0) * (x1 - x0))
-                total = h + t
-                h -= t
-                h *= h
-                scores += np.divide(h, total, out=np.zeros((ny, nx)), where=total > 0)
+            top, bottom = y0 // gy, y1 // gy
+            for c, strip in enumerate(strips):
+                h = strip[bottom : bottom + span_y : sy] - strip[top : top + span_y : sy]
+                scores += table[r, c].take(h)
     return scores
 
 
-def scan_detect(
-    scene: GrayImage,
-    template_model: Model,
-    window: tuple[int, int],
-    stride: int = 1,
-    threshold: float = float("inf"),
-) -> list[Detection]:
-    """Score every stride-aligned window against the template and keep hits.
-
-    Each window's grid descriptor (computed with the model's configuration)
-    is compared to the single template by chi-square distance; windows at
-    distance <= threshold are returned sorted ascending by distance, with
-    row-major scan order breaking ties.
-    """
+def _scan(
+    scene: GrayImage, template_model: Model, window: tuple[int, int], stride: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corner x, corner y and score arrays of the hits, in `scan_detect` order."""
     if template_model.n_classes != 1:
         raise ModelMismatchError(
             f"detection needs a single-class model, got {template_model.n_classes} classes"
@@ -149,11 +159,55 @@ def scan_detect(
     ys, xs = np.nonzero(scores <= threshold)
     hit_scores = scores[ys, xs]
     order = np.lexsort((xs, ys, hit_scores))
+    return xs[order] * stride, ys[order] * stride, hit_scores[order]
+
+
+def _suppress(x0, y0, w, h, iou_threshold: float) -> np.ndarray:
+    """Indices of the boxes greedy suppression keeps, for boxes ranked best first.
+
+    Box i covers columns x0[i] .. x0[i] + w[i] - 1 and the matching rows;
+    a scalar width or height applies to every box.
+    IoU is computed as in `iou`, against all remaining boxes at once.
+    """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ParameterError(f"iou threshold must lie in [0, 1], got {iou_threshold}")
+    x0, y0, w, h = np.broadcast_arrays(x0, y0, w, h)
+    x1 = x0 + w - 1
+    y1 = y0 + h - 1
+    area = w * h
+    pending = np.arange(len(x0))
+    kept = []
+    while pending.size:
+        best, rest = pending[0], pending[1:]
+        kept.append(best)
+        iw = np.maximum(0, np.minimum(x1[best], x1[rest]) - np.maximum(x0[best], x0[rest]) + 1)
+        ih = np.maximum(0, np.minimum(y1[best], y1[rest]) - np.maximum(y0[best], y0[rest]) + 1)
+        inter = iw * ih
+        union = area[best] + area[rest] - inter
+        overlap = np.divide(inter, union, out=np.zeros(len(rest)), where=inter != 0)
+        pending = rest[overlap <= iou_threshold]
+    return np.array(kept, dtype=np.intp)
+
+
+def scan_detect(
+    scene: GrayImage,
+    template_model: Model,
+    window: tuple[int, int],
+    stride: int = 1,
+    threshold: float = float("inf"),
+) -> list[Detection]:
+    """Score every stride-aligned window against the template and keep hits.
+
+    Each window's grid descriptor (computed with the model's configuration)
+    is compared to the single template by chi-square distance; windows at
+    distance <= threshold are returned sorted ascending by distance, with
+    row-major scan order breaking ties.
+    """
+    xs, ys, scores = _scan(scene, template_model, window, stride, threshold)
+    win_w, win_h = window
     return [
-        Detection(x=x * stride, y=y * stride, width=win_w, height=win_h, score=score)
-        for y, x, score in zip(
-            ys[order].tolist(), xs[order].tolist(), hit_scores[order].tolist()
-        )
+        Detection(x=x, y=y, width=win_w, height=win_h, score=score)
+        for x, y, score in zip(xs.tolist(), ys.tolist(), scores.tolist())
     ]
 
 
@@ -163,27 +217,11 @@ def nms(detections, iou_threshold: float) -> list[Detection]:
     A box is dropped when its IoU with an already-kept box exceeds
     `iou_threshold`; output is sorted ascending by score. Ties keep their
     input order, which for scan_detect output is row-major scan order.
-    IoU is computed as in `iou`, against all remaining boxes at once.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ParameterError(f"iou threshold must lie in [0, 1], got {iou_threshold}")
     ranked = sorted(detections, key=lambda d: d.score)
-    x0, y0, w, h = (
+    boxes = (
         np.array([getattr(d, name) for d in ranked], dtype=np.int64)
         for name in ("x", "y", "width", "height")
     )
-    x1 = x0 + w - 1
-    y1 = y0 + h - 1
-    area = w * h
-    pending = np.arange(len(ranked))
-    kept: list[Detection] = []
-    while pending.size:
-        best, rest = pending[0], pending[1:]
-        kept.append(ranked[best])
-        iw = np.maximum(0, np.minimum(x1[best], x1[rest]) - np.maximum(x0[best], x0[rest]) + 1)
-        ih = np.maximum(0, np.minimum(y1[best], y1[rest]) - np.maximum(y0[best], y0[rest]) + 1)
-        inter = iw * ih
-        union = area[best] + area[rest] - inter
-        overlap = np.divide(inter, union, out=np.zeros(len(rest)), where=inter != 0)
-        pending = rest[overlap <= iou_threshold]
-    return kept
+    keep = _suppress(*boxes, iou_threshold)
+    return [ranked[i] for i in keep]

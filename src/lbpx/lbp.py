@@ -75,12 +75,22 @@ class LbpParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LbpParams":
+        radius = d["radius"]
+        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
+            raise TypeError(f"radius must be a number, got {radius!r}")
         return cls(
-            neighbors=int(d["neighbors"]),
-            radius=float(d["radius"]),
+            neighbors=_json_int(d["neighbors"], "neighbors"),
+            radius=float(radius),
             sampling=str(d["sampling"]),
             mapping=str(d["mapping"]),
         )
+
+
+def _json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer, else TypeError (bool is no integer here)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

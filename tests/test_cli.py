@@ -285,15 +285,22 @@ class TestClassifyCommand:
     @pytest.mark.parametrize(
         "field, value",
         [("template", float("nan")), ("template", float("inf")), ("template", -0.5),
-         ("weights", [1.0, 1.0, 1.0]), ("weights", [float("inf")] + [1.0] * 8)],
-        ids=["nan-bin", "inf-bin", "negative-bin", "3-weights-on-3x3", "inf-weight"],
+         ("weights", [1.0, 1.0, 1.0]), ("weights", [float("inf")] + [1.0] * 8),
+         ("neighbors", 8.9), ("neighbors", "8"), ("neighbors", True), ("radius", "1.5"),
+         ("grid", [3.7, "3"])],
+        ids=["nan-bin", "inf-bin", "negative-bin", "3-weights-on-3x3", "inf-weight",
+             "fractional-neighbors", "string-neighbors", "bool-neighbors", "string-radius",
+             "non-integer-grid"],
     )
     def test_invalid_model_values_exit_2(self, field, value, tmp_path, sample_image, capsys):
+        # each of these once loaded (int()/float() coerced them) or exited 1
         doc = json.loads((GOLDEN / "train_u2.json").read_text())
         if field == "template":
             doc["classes"][1]["template"][7] = value
+        elif field in doc["params"]:
+            doc["params"][field] = value
         else:
-            doc["weights"] = value
+            doc[field] = value
         bad = tmp_path / "model.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
@@ -412,6 +419,18 @@ class TestDetectCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "threshold" in captured.err
+
+    def test_invalid_nms_iou_after_valid_scan_exits_1(self, detection_setup, capsys):
+        scene_path, model_path = detection_setup
+        capsys.readouterr()
+        code = run_cli(
+            ["detect", "--scene", str(scene_path), "--model", str(model_path),
+             "--window", "16x16", "--stride", "4", "--nms-iou", "1.5"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lbpx: iou threshold must lie in [0, 1], got 1.5\n"
 
     @pytest.mark.parametrize(
         "mapping, window, stride",

@@ -22,7 +22,7 @@ from lbpx import (
     nms,
     scan_detect,
 )
-from lbpx.descriptor import grid_values
+from lbpx.descriptor import _cell_edges, grid_values
 
 from conftest import random_image, texture_image
 
@@ -44,6 +44,70 @@ def scan_oracle(scene, model, window, stride=1, threshold=float("inf")):
                 hits.append(Detection(x=x, y=y, width=win_w, height=win_h, score=score))
     hits.sort(key=lambda d: d.score)
     return hits
+
+
+# The per-pixel summed-area scan that `scan_detect` used before its tables
+# counted g-by-g blocks and its terms were tabulated; kept verbatim so that
+# scores can be compared bit for bit.
+def chi2_scores_oracle(
+    full: np.ndarray,
+    templates: np.ndarray,
+    map_size: tuple[int, int],
+    positions: tuple[int, int],
+    stride: int,
+) -> np.ndarray:
+    """Chi-square distance of each window's grid histogram to `templates[r, c]`.
+
+    Window (i, j) covers full[i*stride : i*stride + map_h, ...]. Counts come
+    one label b at a time from a padded summed-area table of `full == b`,
+    whose strided corner slices give a cell's count of b at every position
+    at once, so memory stays O(H*W) whatever the bin count. Each term is
+    (h-t)^2 / (h+t) as in `distance`, skipping h+t == 0; only the order in
+    which terms are summed differs from the per-window computation.
+    """
+    rows, cols, bins = templates.shape
+    map_h, map_w = map_size
+    ny, nx = positions
+    row_cells = _cell_edges(map_h, rows)
+    col_cells = _cell_edges(map_w, cols)
+    # a label absent from both the scene and the template adds 0 everywhere
+    present = np.bincount(full.reshape(-1), minlength=bins) > 0
+    labels = np.flatnonzero(present | (templates != 0).any(axis=(0, 1)))
+
+    span_y = (ny - 1) * stride + 1
+    span_x = (nx - 1) * stride + 1
+    sat = np.zeros((full.shape[0] + 1, full.shape[1] + 1), dtype=np.int32)
+    scores = np.zeros((ny, nx))
+    for b in labels:
+        np.cumsum(np.cumsum(full == b, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
+        # count of b in each column cell's strip, above every row of the table
+        strips = [
+            sat[:, x1 : x1 + span_x : stride] - sat[:, x0 : x0 + span_x : stride]
+            for x0, x1 in col_cells
+        ]
+        for r, (y0, y1) in enumerate(row_cells):
+            for c, (x0, x1) in enumerate(col_cells):
+                t = templates[r, c, b]
+                h = strips[c][y1 : y1 + span_y : stride] - strips[c][y0 : y0 + span_y : stride]
+                h = h / ((y1 - y0) * (x1 - x0))
+                total = h + t
+                h -= t
+                h *= h
+                scores += np.divide(h, total, out=np.zeros((ny, nx)), where=total > 0)
+    return scores
+
+
+def scan_scores_oracle(scene, model, window, stride):
+    """(ny, nx) scores of every window position from `chi2_scores_oracle`."""
+    win_w, win_h = window
+    o = model.params.origin_offset
+    return chi2_scores_oracle(
+        lbp_map(scene, model.params).labels,
+        model.templates[0].reshape(model.grid_rows, model.grid_cols, -1),
+        (win_h - 2 * o, win_w - 2 * o),
+        ((scene.height - win_h) // stride + 1, (scene.width - win_w) // stride + 1),
+        stride,
+    )
 
 
 def nms_oracle(detections, iou_threshold):
@@ -269,6 +333,23 @@ class TestScanDetect:
         assert len(hits) == 14 * 19
         assert peak < 16 * 2**20
 
+    def test_whole_scene_window_memory_stays_near_scene_size(self, rng):
+        # one 318x238 cell of 75,684 pixels: term tables for every count of
+        # every raw label would take 256 x 75,685 floats (155 MB)
+        scene = random_image(rng, 320, 240)
+        params = LbpParams(mapping="raw")
+        model = build_templates(
+            [("t", grid_descriptor(lbp_map(random_image(rng, 320, 240), params), 1, 1))]
+        )
+        tracemalloc.start()
+        try:
+            hits = scan_detect(scene, model, (320, 240))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert [d.score for d in hits] == [scan_scores_oracle(scene, model, (320, 240), 1)[0, 0]]
+
     def test_detect_then_nms_pipeline(self, rng):
         scene_px = rng.integers(100, 140, size=(48, 48), dtype=np.int64)
         patch = checker_patch(16)
@@ -324,20 +405,53 @@ class TestScanMatchesPerWindowOracle:
             assert [(d.x, d.y) for d in got] == [(d.x, d.y) for d in want]
 
 
+class TestScoresMatchSummedAreaOracle:
+    """Block tables and tabulated terms give the per-pixel scan's scores bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params", SCAN_CONFIGS, ids=[f"{p.sampling}-{p.mapping}" for p in SCAN_CONFIGS]
+    )
+    def test_scores_are_bitwise_equal(self, params, rng):
+        noise = random_image(rng, 47, 43)
+        # stripes code to few labels, so most template labels are absent
+        stripes = texture_image("hstripes", 47, rng, noise=3)
+        stripes = GrayImage(stripes.pixels[:43])
+        grids = [(1, 1), (1, 4), (2, 3), (3, 3), (4, 2), (4, 4)]
+        # Strides 1-8 cycle through the grids. The 31x29 windows have odd map
+        # sides, so the block edge g is mostly 1; the 34x26 ones give g of 2
+        # to 8 on one axis or both at most strides. Most pairs leave a
+        # remainder cell.
+        for k, window in enumerate([(31, 29), (34, 26)]):
+            win_w, win_h = window
+            crop = GrayImage(noise.pixels[5 : 5 + win_h, 6 : 6 + win_w])
+            for stride in range(1, 9):
+                grid = grids[(stride + 3 * k) % len(grids)]
+                model = build_templates([("t", grid_descriptor(lbp_map(crop, params), *grid))])
+                for scene in (noise, stripes):
+                    want = scan_scores_oracle(scene, model, window, stride)
+                    got = np.full(want.shape, np.nan)
+                    for d in scan_detect(scene, model, window, stride):
+                        got[d.y // stride, d.x // stride] = d.score
+                    assert np.array_equal(got, want), (window, grid, stride)
+
+
 class TestNmsMatchesGreedyOracle:
     @pytest.mark.parametrize("threshold", [0.0, 4 / 28, 0.3, 1.0])
     def test_random_boxes_with_tied_scores(self, threshold, rng):
         for _ in range(30):
+            # widths and heights of 0 give boxes that meet nothing; two of
+            # them at one place have union 0, which the IoU must not divide by
             boxes = [
                 Detection(
                     int(rng.integers(0, 40)),
                     int(rng.integers(0, 40)),
-                    int(rng.integers(1, 16)),
-                    int(rng.integers(1, 16)),
+                    int(rng.integers(0, 16)),
+                    int(rng.integers(0, 16)),
                     float(rng.integers(0, 6)) / 4,
                 )
                 for _ in range(int(rng.integers(0, 60)))
             ]
+            boxes += [Detection(3, 3, w, h, 0.0) for w, h in ((0, 4), (4, 0), (0, 0), (0, 0))]
             # diagonal neighbors on this 4x4-box lattice overlap at IoU exactly 4/28
             boxes += [
                 Detection(2 * i, 2 * j, 4, 4, float(rng.integers(0, 3)))
