@@ -9,7 +9,7 @@ import numpy as np
 
 from .descriptor import GridDescriptor
 from .errors import ModelFormatError, ModelMismatchError, ParameterError, TrainingError
-from .image import fields_equal, frozen_array
+from .image import fields_equal, frozen_array, open_file, read_text_file
 from .lbp import LbpParams, _json_int
 
 METRICS = ("chi2", "wchi2", "intersect", "l1")
@@ -71,7 +71,7 @@ class Model:
 
     Class labels are unique and stored in ascending lexicographic order;
     templates[i] belongs to class_labels[i]. Every region of the
-    rows x cols grid has the same number of bins. Templates and the
+    rows x cols grid has one bin per label of `params`. Templates and the
     optional per-region weights are finite and non-negative.
     """
 
@@ -90,11 +90,12 @@ class Model:
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ParameterError(f"grid {self.grid_rows}x{self.grid_cols} has no cells")
         regions = self.grid_rows * self.grid_cols
+        bins = self.params.label_count
         templates = frozen_array(self.templates, np.float64)
-        if templates.ndim != 2 or len(templates) != len(labels) or templates.shape[1] % regions:
+        if templates.shape != (len(labels), regions * bins):
             raise ParameterError(
                 f"templates of shape {templates.shape} are not one row per class "
-                f"({len(labels)}) split into {regions} equal regions"
+                f"({len(labels)}) of {regions} regions x {bins} labels"
             )
         object.__setattr__(self, "templates", templates)
         weights = self.region_weights
@@ -198,19 +199,33 @@ def serialize_model(model: Model) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_numbers(values, what: str) -> list:
+    """`values` if it is a JSON array of numbers, else TypeError (bool is no number here)."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"{what} must be an array of numbers")
+    return values
+
+
 def deserialize_model(text: str) -> Model:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("model file is nested too deeply to parse") from None
     try:
         version = _json_int(doc["format_version"], "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version}")
         params = LbpParams.from_json_dict(doc["params"])
         rows, cols = (_json_int(v, "grid size") for v in doc["grid"])
-        labels = tuple(str(entry["label"]) for entry in doc["classes"])
-        templates = [entry["template"] for entry in doc["classes"]]
+        labels = tuple(entry["label"] for entry in doc["classes"])
+        if not all(type(label) is str for label in labels):
+            raise TypeError("class labels must be strings")
+        templates = [_json_numbers(entry["template"], "template") for entry in doc["classes"]]
+        weights = doc.get("weights")
+        if weights is not None:
+            _json_numbers(weights, "weights")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from None
     # a bad params block above stays a ParameterError (exit 1); bad values below exit 2
@@ -221,7 +236,7 @@ def deserialize_model(text: str) -> Model:
             grid_cols=cols,
             class_labels=labels,
             templates=templates,
-            region_weights=doc.get("weights"),
+            region_weights=weights,
             format_version=version,
         )
     except (ParameterError, TypeError, ValueError, OverflowError) as exc:
@@ -229,10 +244,9 @@ def deserialize_model(text: str) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_file(path, "w") as fh:
         fh.write(serialize_model(model))
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize_model(fh.read())
+    return deserialize_model(read_text_file(path, ModelFormatError))

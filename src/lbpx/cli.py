@@ -16,11 +16,11 @@ from pathlib import Path
 
 from .classify import METRICS, load_model, predict, serialize_model
 from .descriptor import grid_descriptor
-from .detect import _scan, _suppress
+from .detect import _lattice_suppress, _scan
 from .errors import LbpxError, ParameterError
 from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
 from .lbp import LbpParams, lbp_map, lbp_map_to_image
-from .image import load_pgm_file, save_pgm_file
+from .image import load_pgm_file, open_file, save_pgm_file
 from .mapping import MAPPING_MODES
 
 THREAD_CAP_ENV = "LBPX_THREADS"
@@ -88,7 +88,7 @@ def _emit_text(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open_file(output, "w") as fh:
             fh.write(text)
 
 
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"worker threads, capped by ${THREAD_CAP_ENV} (default 1)",
+        help=f"worker threads, capped by the CPU count and ${THREAD_CAP_ENV} (default 1)",
     )
     _add_params_flags(p)
 
@@ -211,11 +211,12 @@ def _cmd_detect(args) -> int:
     model = load_model(args.model)
     win_w, win_h = _parse_pair(args.window, "window")
     # the hits stay arrays through suppression; only kept boxes become lines
-    xs, ys, scores = _scan(scene, model, (win_w, win_h), args.stride, args.threshold)
-    keep = _suppress(xs, ys, win_w, win_h, args.nms_iou)
+    stride = args.stride
+    cols, rows, scores = _scan(scene, model, (win_w, win_h), stride, args.threshold)
+    keep = _lattice_suppress(cols, rows, (win_w, win_h), stride, args.nms_iou)
     lines = [
-        f'{{"x":{x},"y":{y},"w":{win_w},"h":{win_h},"score":{score:.6f}}}'
-        for x, y, score in zip(xs[keep].tolist(), ys[keep].tolist(), scores[keep].tolist())
+        f'{{"x":{j * stride},"y":{i * stride},"w":{win_w},"h":{win_h},"score":{score:.6f}}}'
+        for j, i, score in zip(cols[keep].tolist(), rows[keep].tolist(), scores[keep].tolist())
     ]
     _emit_text("".join(line + "\n" for line in lines), args.output)
     return 0
@@ -224,8 +225,13 @@ def _cmd_detect(args) -> int:
 def _cmd_bench(args) -> int:
     params = _params_from_args(args)
     img = load_pgm_file(args.input)
-    threads = args.threads
-    cap = int(os.environ.get(THREAD_CAP_ENV, "0") or "0")
+    text = os.environ.get(THREAD_CAP_ENV, "0") or "0"
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ParameterError(f"${THREAD_CAP_ENV} must be an integer, got {text!r}") from None
+    # more threads than CPUs only adds contention to the timed loop
+    threads = min(args.threads, os.cpu_count() or 1)
     if cap > 0:
         threads = min(threads, cap)
     result = benchmark_fps(img, params, iterations=args.iterations, threads=threads)

@@ -12,7 +12,6 @@ from .descriptor import _cell_edges
 from .errors import ModelMismatchError, ParameterError
 from .image import GrayImage
 from .lbp import lbp_map
-from .mapping import label_count
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,10 @@ def _chi2_scores(
 def _scan(
     scene: GrayImage, template_model: Model, window: tuple[int, int], stride: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner x, corner y and score arrays of the hits, in `scan_detect` order."""
+    """Lattice column, lattice row and score arrays of the hits, in `scan_detect` order.
+
+    Hit (j, i) is the window with corner (j * stride, i * stride).
+    """
     if template_model.n_classes != 1:
         raise ModelMismatchError(
             f"detection needs a single-class model, got {template_model.n_classes} classes"
@@ -138,20 +140,13 @@ def _scan(
             f"{template_model.grid_rows}x{template_model.grid_cols} grid at origin offset {o}"
         )
 
-    rows, cols = template_model.grid_rows, template_model.grid_cols
-    descriptor_length = rows * cols * label_count(params.mapping, params.neighbors)
-    template = template_model.templates[0]
-    if len(template) != descriptor_length:
-        raise ParameterError(
-            f"descriptor lengths differ: {len(template)} vs {descriptor_length}"
-        )
-
     # The full-scene map restricted to a window equals that window's own map,
     # so one map computation serves every window position.
     full = lbp_map(scene, params).labels
+    rows, cols = template_model.grid_rows, template_model.grid_cols
     scores = _chi2_scores(
         full,
-        template.reshape(rows, cols, -1),
+        template_model.templates[0].reshape(rows, cols, -1),
         (map_h, map_w),
         ((scene.height - win_h) // stride + 1, (scene.width - win_w) // stride + 1),
         stride,
@@ -159,7 +154,12 @@ def _scan(
     ys, xs = np.nonzero(scores <= threshold)
     hit_scores = scores[ys, xs]
     order = np.lexsort((xs, ys, hit_scores))
-    return xs[order] * stride, ys[order] * stride, hit_scores[order]
+    return xs[order], ys[order], hit_scores[order]
+
+
+def _check_iou(iou_threshold: float) -> None:
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ParameterError(f"iou threshold must lie in [0, 1], got {iou_threshold}")
 
 
 def _suppress(x0, y0, w, h, iou_threshold: float) -> np.ndarray:
@@ -169,8 +169,7 @@ def _suppress(x0, y0, w, h, iou_threshold: float) -> np.ndarray:
     a scalar width or height applies to every box.
     IoU is computed as in `iou`, against all remaining boxes at once.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ParameterError(f"iou threshold must lie in [0, 1], got {iou_threshold}")
+    _check_iou(iou_threshold)
     x0, y0, w, h = np.broadcast_arrays(x0, y0, w, h)
     x1 = x0 + w - 1
     y1 = y0 + h - 1
@@ -189,6 +188,45 @@ def _suppress(x0, y0, w, h, iou_threshold: float) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
+def _lattice_suppress(cols, rows, window, stride: int, iou_threshold: float) -> np.ndarray:
+    """`_suppress`'s kept indices for window-size boxes at corners (cols, rows) * stride.
+
+    The IoU of two such boxes depends only on their lattice offset, so the
+    offsets at which a kept box suppresses another form one stencil, built
+    with `_suppress`'s arithmetic. A padded grid holds each hit's rank; each
+    kept rank flags the ranks under its stencil dead, and the next kept rank
+    is the first live one after it.
+    """
+    _check_iou(iou_threshold)
+    n = len(cols)
+    win_w, win_h = window
+    ny, nx = rows.max(initial=0) + 1, cols.max(initial=0) + 1
+    # overlap along each axis at lattice offsets 0, 1, ... while boxes still
+    # meet, and no further than any two hits lie apart
+    iw = win_w - np.array(range(0, win_w, stride)[:nx])
+    ih = win_h - np.array(range(0, win_h, stride)[:ny])
+    rx, ry = len(iw) - 1, len(ih) - 1
+    inter = np.concatenate((ih[:0:-1], ih))[:, None] * np.concatenate((iw[:0:-1], iw))
+    union = 2 * win_w * win_h - inter
+    overlap = np.divide(inter, union, out=np.zeros(inter.shape), where=inter != 0)
+    di, dj = np.nonzero(overlap > iou_threshold)
+    width = nx + 2 * rx
+    stencil = (di - ry) * width + dj - rx
+    at = (rows + ry) * width + cols + rx
+    # cells without a hit hold rank n; dead[n + 1] stays False and ends the walk
+    grid = np.full((ny + 2 * ry) * width, n)
+    grid[at] = np.arange(n)
+    dead = np.zeros(n + 2, dtype=bool)
+    kept = []
+    k = 0
+    while k < n:
+        kept.append(k)
+        dead[grid[at[k] + stencil]] = True
+        dead[k] = True  # offset (0, 0) is not in the stencil at IoU 1
+        k += dead[k:].argmin()
+    return np.array(kept, dtype=np.intp)
+
+
 def scan_detect(
     scene: GrayImage,
     template_model: Model,
@@ -203,11 +241,11 @@ def scan_detect(
     distance <= threshold are returned sorted ascending by distance, with
     row-major scan order breaking ties.
     """
-    xs, ys, scores = _scan(scene, template_model, window, stride, threshold)
+    cols, rows, scores = _scan(scene, template_model, window, stride, threshold)
     win_w, win_h = window
     return [
-        Detection(x=x, y=y, width=win_w, height=win_h, score=score)
-        for x, y, score in zip(xs.tolist(), ys.tolist(), scores.tolist())
+        Detection(x=j * stride, y=i * stride, width=win_w, height=win_h, score=score)
+        for j, i, score in zip(cols.tolist(), rows.tolist(), scores.tolist())
     ]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .classify import Model, build_templates, predict
 from .descriptor import grid_descriptor
 from .errors import EvaluationError, ManifestError, ParameterError
-from .image import GrayImage, fields_equal, frozen_array, load_pgm_file
+from .image import GrayImage, fields_equal, frozen_array, load_pgm_file, read_text_file
 from .lbp import LbpParams, lbp_map
 
 MANIFEST_HEADER = ("path", "label", "split")
@@ -77,8 +77,7 @@ def load_manifest(text) -> Manifest:
 
 
 def load_manifest_file(path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_manifest(fh.read())
+    return load_manifest(read_text_file(path, ManifestError))
 
 
 @dataclass(frozen=True, eq=False)

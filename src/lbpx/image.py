@@ -1,13 +1,15 @@
-"""Grayscale raster type, PGM I/O, bilinear sampling, integral images."""
+"""Grayscale raster type, file opening, PGM I/O, bilinear sampling, integral images."""
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BoundsError, ParameterError, PgmFormatError
+from .errors import BoundsError, LbpxError, ParameterError, PgmFormatError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
@@ -17,6 +19,27 @@ def frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def open_file(path, mode: str = "r"):
+    """`open` in binary or UTF-8 text mode.
+
+    A path holding a NUL byte raises OSError, like any other path that
+    cannot be opened, rather than ValueError.
+    """
+    try:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    except ValueError as exc:
+        raise OSError(errno.EINVAL, f"cannot open {os.fspath(path)!r}: {exc}") from None
+
+
+def read_text_file(path, error: type[LbpxError]) -> str:
+    """Contents of a UTF-8 text file; bytes that do not decode raise `error`."""
+    with open_file(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def fields_equal(self, other) -> bool:
@@ -179,7 +202,7 @@ def save_pgm(img: GrayImage) -> bytes:
 
 
 def load_pgm_file(path) -> GrayImage:
-    with open(path, "rb") as fh:
+    with open_file(path, "rb") as fh:
         data = fh.read()
     try:
         return load_pgm(data)
@@ -188,7 +211,7 @@ def load_pgm_file(path) -> GrayImage:
 
 
 def save_pgm_file(img: GrayImage, path) -> None:
-    with open(path, "wb") as fh:
+    with open_file(path, "wb") as fh:
         fh.write(save_pgm(img))
 
 

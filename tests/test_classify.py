@@ -28,6 +28,13 @@ from lbpx import (
 from conftest import TEXTURE_KINDS, texture_image
 
 GOLDEN = Path(__file__).parent / "golden"
+BINS = LbpParams().label_count  # 59 labels of the default operator
+
+
+def full(values, regions=1):
+    """`values` cut into `regions` equal parts, each padded with zero bins to BINS."""
+    parts = np.asarray(values, dtype=np.float64).reshape(regions, -1)
+    return np.pad(parts, ((0, 0), (0, BINS - parts.shape[1]))).reshape(-1)
 
 
 def make_descriptor(values, grid_rows=1, grid_cols=1):
@@ -35,7 +42,7 @@ def make_descriptor(values, grid_rows=1, grid_cols=1):
         grid_rows=grid_rows,
         grid_cols=grid_cols,
         params=LbpParams(),
-        values=np.asarray(values, dtype=np.float64),
+        values=full(values, grid_rows * grid_cols),
     )
 
 
@@ -124,13 +131,13 @@ class TestBuildTemplates:
         desc = make_descriptor([0.25, 0.75])
         model = build_templates([("wood", desc)])
         assert model.class_labels == ("wood",)
-        assert np.allclose(model.templates[0], [0.25, 0.75])
+        assert np.allclose(model.templates[0], full([0.25, 0.75]))
 
     def test_templates_average_and_renormalize(self):
         a = make_descriptor([1.0, 0.0])
         b = make_descriptor([0.0, 1.0])
         model = build_templates([("x", a), ("x", b)])
-        assert np.allclose(model.templates[0], [0.5, 0.5])
+        assert np.allclose(model.templates[0], full([0.5, 0.5]))
         assert model.templates[0].sum() == pytest.approx(1.0)
 
     def test_class_labels_sorted_ascending(self):
@@ -141,16 +148,16 @@ class TestBuildTemplates:
         ]
         model = build_templates(samples)
         assert model.class_labels == ("ant", "moth", "zebra")
-        assert np.allclose(model.templates[0], [0.0, 1.0])
-        assert np.allclose(model.templates[2], [1.0, 0.0])
+        assert np.allclose(model.templates[0], full([0.0, 1.0]))
+        assert np.allclose(model.templates[2], full([1.0, 0.0]))
 
     def test_regions_renormalized_independently(self):
         # two regions; averaging keeps each region summing to one
         a = make_descriptor([1.0, 0.0, 0.5, 0.5], grid_rows=1, grid_cols=2)
         b = make_descriptor([0.0, 1.0, 1.0, 0.0], grid_rows=1, grid_cols=2)
         model = build_templates([("t", a), ("t", b)])
-        assert model.templates[0][0:2].sum() == pytest.approx(1.0)
-        assert model.templates[0][2:4].sum() == pytest.approx(1.0)
+        assert model.templates[0][:BINS].sum() == pytest.approx(1.0)
+        assert model.templates[0][BINS:].sum() == pytest.approx(1.0)
 
     def test_empty_samples_raise(self):
         with pytest.raises(TrainingError):
@@ -262,10 +269,10 @@ class TestPredict:
     @pytest.mark.parametrize("metric", ["chi2", "wchi2", "intersect", "l1"])
     def test_scores_match_distance_oracle(self, metric, rng):
         for _ in range(20):
-            templates = rng.random((5, 9 * 7)) * (rng.random((5, 9 * 7)) < 0.6)
+            templates = rng.random((5, 9 * BINS)) * (rng.random((5, 9 * BINS)) < 0.6)
             weights = rng.random(9) * 3
             model = Model(LbpParams(), 3, 3, tuple("abcde"), templates, region_weights=weights)
-            query = rng.random(9 * 7) * (rng.random(9 * 7) < 0.6)
+            query = rng.random(9 * BINS) * (rng.random(9 * BINS) < 0.6)
             _, scores = predict(model, make_descriptor(query, 3, 3), metric)
             expected = [distance(t, query, metric, weights) for t in templates]
             if metric in ("intersect", "l1"):
@@ -419,17 +426,18 @@ class TestModelInvalidValues:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"templates": np.ones((2, 4))},
-            {"templates": np.ones(4)},
-            {"templates": np.ones((1, 5))},
-            {"class_labels": ("b", "a"), "templates": np.ones((2, 4))},
-            {"class_labels": ("a", "a"), "templates": np.ones((2, 4))},
+            {"templates": np.ones((2, 4 * BINS))},
+            {"templates": np.ones(4 * BINS)},
+            {"templates": np.ones((1, 4 * BINS + 1))},
+            {"templates": np.ones((1, 8))},
+            {"class_labels": ("b", "a"), "templates": np.ones((2, 4 * BINS))},
+            {"class_labels": ("a", "a"), "templates": np.ones((2, 4 * BINS))},
             {"class_labels": ()},
             {"grid_rows": 0},
             {"region_weights": np.ones((2, 2))},
         ],
-        ids=["rows-vs-classes", "1-d-templates", "length-vs-grid", "unsorted-labels",
-             "duplicate-labels", "no-classes", "zero-grid", "2-d-weights"],
+        ids=["rows-vs-classes", "1-d-templates", "length-vs-grid", "length-vs-labels",
+             "unsorted-labels", "duplicate-labels", "no-classes", "zero-grid", "2-d-weights"],
     )
     def test_constructor_checks_invariants(self, kwargs):
         fields = {
@@ -437,8 +445,9 @@ class TestModelInvalidValues:
             "grid_rows": 2,
             "grid_cols": 2,
             "class_labels": ("a",),
-            "templates": np.ones((1, 4)),
+            "templates": np.ones((1, 4 * BINS)),
         }
+        Model(**fields)
         with pytest.raises(ParameterError):
             Model(**{**fields, **kwargs})
 
@@ -453,10 +462,11 @@ class TestModelEquality:
         assert a != 42
 
     def test_weights_take_part_in_equality(self):
-        plain = Model(LbpParams(), 1, 2, ("x",), np.ones((1, 4)))
-        weighted = Model(LbpParams(), 1, 2, ("x",), np.ones((1, 4)), region_weights=[1.0, 1.0])
+        templates = np.ones((1, 2 * BINS))
+        plain = Model(LbpParams(), 1, 2, ("x",), templates)
+        weighted = Model(LbpParams(), 1, 2, ("x",), templates, region_weights=[1.0, 1.0])
         assert plain != weighted
-        assert weighted == Model(LbpParams(), 1, 2, ("x",), np.ones((1, 4)), np.ones(2))
+        assert weighted == Model(LbpParams(), 1, 2, ("x",), templates, np.ones(2))
 
     def test_templates_are_immutable(self):
         model = build_templates([("x", make_descriptor([1.0, 0.0]))])

@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -287,16 +288,21 @@ class TestClassifyCommand:
         [("template", float("nan")), ("template", float("inf")), ("template", -0.5),
          ("weights", [1.0, 1.0, 1.0]), ("weights", [float("inf")] + [1.0] * 8),
          ("neighbors", 8.9), ("neighbors", "8"), ("neighbors", True), ("radius", "1.5"),
-         ("grid", [3.7, "3"])],
+         ("grid", [3.7, "3"]), ("template", "0.25"), ("template", True),
+         ("weights", ["1"] + [1.0] * 8), ("weights", [True] + [1.0] * 8), ("label", 5),
+         ("mapping", "riu2")],
         ids=["nan-bin", "inf-bin", "negative-bin", "3-weights-on-3x3", "inf-weight",
              "fractional-neighbors", "string-neighbors", "bool-neighbors", "string-radius",
-             "non-integer-grid"],
+             "non-integer-grid", "string-bin", "bool-bin", "string-weight", "bool-weight",
+             "integer-label", "template-length-vs-labels"],
     )
     def test_invalid_model_values_exit_2(self, field, value, tmp_path, sample_image, capsys):
-        # each of these once loaded (int()/float() coerced them) or exited 1
+        # each of these once loaded (int()/float()/str() coerced them) or exited 1 or 3
         doc = json.loads((GOLDEN / "train_u2.json").read_text())
         if field == "template":
             doc["classes"][1]["template"][7] = value
+        elif field == "label":
+            doc["classes"][0]["label"] = value
         elif field in doc["params"]:
             doc["params"][field] = value
         else:
@@ -309,6 +315,40 @@ class TestClassifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("lbpx: ")
+
+
+class TestUnreadableInputs:
+    """Files that cannot be read or parsed end in one `lbpx:` line and exit 2."""
+
+    def run(self, argv, capsys):
+        capsys.readouterr()
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("lbpx: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_non_utf8_model_file(self, tmp_path, sample_image, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 1, "label": "\xff"}')
+        err = self.run(["classify", "--model", str(model), "--input", str(sample_image)], capsys)
+        assert "UTF-8" in err
+
+    def test_non_utf8_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"path,label,split\n\xe9t\xe9.pgm,a,train\n")
+        assert "UTF-8" in self.run(["train", "--manifest", str(manifest)], capsys)
+
+    def test_deeply_nested_model_file(self, tmp_path, sample_image, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        err = self.run(["classify", "--model", str(model), "--input", str(sample_image)], capsys)
+        assert "nested" in err
+
+    def test_manifest_path_with_nul_byte(self, tmp_path, capsys):
+        err = self.run(["evaluate", "--manifest", str(tmp_path / "m\0.csv")], capsys)
+        assert "null byte" in err
 
 
 class TestEvaluateCommand:
@@ -449,6 +489,35 @@ class TestDetectCommand:
         expected = (GOLDEN / f"detect_{mapping}_{window}_s{stride}.jsonl").read_text()
         assert capsys.readouterr().out == expected
 
+    def test_huge_stride_prints_the_one_window(self, detection_setup, capsys):
+        # 10^30 does not fit in an int64; any stride above 32 leaves one window
+        scene_path, model_path = detection_setup
+        outputs = []
+        for stride in ("1000", "1" + "0" * 30):
+            capsys.readouterr()
+            code = run_cli(
+                ["detect", "--scene", str(scene_path), "--model", str(model_path),
+                 "--window", "16x16", "--stride", stride]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1
+
+    def test_template_length_not_matching_labels_exits_2(self, tmp_path, capsys):
+        # a u2 template (9 x 59 bins) declared riu2 (9 x 10) once exited 1 from the scan
+        doc = json.loads((GOLDEN / "detect_model_u2.json").read_text())
+        doc["params"]["mapping"] = "riu2"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = run_cli(
+            ["detect", "--scene", str(GOLDEN / "detect_scene.pgm"), "--model", str(model),
+             "--window", "24x24"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("lbpx: invalid model file: ")
+
     def test_bad_window_argument_exits_1(self, detection_setup):
         scene_path, model_path = detection_setup
         code = run_cli(
@@ -558,11 +627,35 @@ class TestBenchCommand:
 
     def test_unset_cap_leaves_threads_alone(self, sample_image, capsys, monkeypatch):
         monkeypatch.delenv("LBPX_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         code = run_cli(
             ["bench", "--input", str(sample_image), "--iterations", "2", "--threads", "2"]
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["threads"] == 2
+
+    @pytest.mark.parametrize("cpus, cap, expected", [(1, None, 1), (3, None, 3), (3, "2", 2)])
+    def test_threads_clamped_to_cpu_count(
+        self, cpus, cap, expected, sample_image, capsys, monkeypatch
+    ):
+        # one iteration: the pool never starts more than one thread
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if cap is None:
+            monkeypatch.delenv("LBPX_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LBPX_THREADS", cap)
+        code = run_cli(
+            ["bench", "--input", str(sample_image), "--iterations", "1", "--threads", "64"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["threads"] == expected
+
+    def test_non_integer_thread_cap_exits_1(self, sample_image, capsys, monkeypatch):
+        monkeypatch.setenv("LBPX_THREADS", "abc")
+        assert run_cli(["bench", "--input", str(sample_image), "--iterations", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lbpx: $LBPX_THREADS must be an integer, got 'abc'\n"
 
     def test_bad_iteration_count_exits_1(self, sample_image):
         assert run_cli(["bench", "--input", str(sample_image), "--iterations", "0"]) == 1

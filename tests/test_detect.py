@@ -23,6 +23,7 @@ from lbpx import (
     scan_detect,
 )
 from lbpx.descriptor import _cell_edges, grid_values
+from lbpx.detect import _lattice_suppress, _suppress
 
 from conftest import random_image, texture_image
 
@@ -304,18 +305,18 @@ class TestScanDetect:
         with pytest.raises(ParameterError):
             scan_detect(scene, model, (16, 16), threshold=float("nan"))
 
-    def test_template_length_must_match_configuration(self, rng):
+    def test_template_length_must_match_configuration(self):
         # a 3x3 u2 template (9 x 59 bins) under a raw configuration (9 x 256)
+        # cannot become a Model, so it never reaches the scan
         u2 = patch_model(checker_patch(16))
-        model = Model(
-            params=LbpParams(mapping="raw"),
-            grid_rows=3,
-            grid_cols=3,
-            class_labels=u2.class_labels,
-            templates=u2.templates,
-        )
         with pytest.raises(ParameterError):
-            scan_detect(texture_image("flat", 32, rng), model, (16, 16))
+            Model(
+                params=LbpParams(mapping="raw"),
+                grid_rows=3,
+                grid_cols=3,
+                class_labels=u2.class_labels,
+                templates=u2.templates,
+            )
 
     def test_raw_scan_memory_stays_near_scene_size(self, rng):
         # a bins x H x W int32 integral histogram of this scene would take 78 MB
@@ -460,3 +461,32 @@ class TestNmsMatchesGreedyOracle:
             ]
             boxes = [boxes[i] for i in rng.permutation(len(boxes))]
             assert nms(boxes, threshold) == nms_oracle(boxes, threshold)
+
+
+class TestLatticeSuppressMatchesSuppress:
+    """The CLI's stencil NMS keeps exactly the boxes `_suppress` keeps."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 4 / 28, 0.3, 0.5, 1.0])
+    def test_kept_indices_are_equal(self, threshold, rng):
+        windows = [(7, 7), (12, 9), (16, 16), (9, 31), (24, 13), (32, 32)]
+        for stride in range(1, 6):
+            for window in (windows[stride - 1], windows[stride]):
+                # a lattice of at most 18 x 18 positions keeps `_suppress`,
+                # which is quadratic at IoU 1, fast
+                ny, nx = (int(v) for v in rng.integers(1, 19, size=2))
+                # few distinct scores, so most ranks are decided by scan order
+                scores = rng.integers(0, 4, size=(ny, nx)) / 4
+                for cutoff in (1.0, 0.25):
+                    # all positions, and hits thinned by a score threshold
+                    rows, cols = np.nonzero(scores <= cutoff)
+                    order = np.lexsort((cols, rows, scores[rows, cols]))
+                    rows, cols = rows[order], cols[order]
+                    want = _suppress(cols * stride, rows * stride, *window, threshold)
+                    got = _lattice_suppress(cols, rows, window, stride, threshold)
+                    assert got.tolist() == want.tolist(), (stride, window, cutoff)
+
+    def test_no_hits_and_bad_threshold(self):
+        empty = np.zeros(0, dtype=np.intp)
+        assert _lattice_suppress(empty, empty, (8, 8), 2, 0.3).tolist() == []
+        with pytest.raises(ParameterError, match=r"iou threshold must lie in \[0, 1\]"):
+            _lattice_suppress(empty, empty, (8, 8), 2, float("nan"))

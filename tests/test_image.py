@@ -94,7 +94,8 @@ class TestFrozenArrays:
         ids=["GrayImage", "IntegralImage", "LbpMap", "GridDescriptor", "Model", "EvalReport"],
     )
     def test_caller_array_stays_writable(self, build, field):
-        src = np.ones((2, 2))
+        # two rows of the default operator's 59 labels make valid Model templates
+        src = np.ones((2, 59))
         obj = build(src)
         stored = getattr(obj, field)
         src[0, 0] = 0.0
@@ -105,7 +106,7 @@ class TestFrozenArrays:
 
     def test_model_weights_are_copied(self):
         weights = np.ones(4)
-        model = Model(LbpParams(), 2, 2, ("x",), np.ones((1, 8)), region_weights=weights)
+        model = Model(LbpParams(), 2, 2, ("x",), np.ones((1, 4 * 59)), region_weights=weights)
         weights[0] = 3.0
         assert model.region_weights[0] == 1.0
         assert not model.region_weights.flags.writeable
