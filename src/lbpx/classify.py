@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .descriptor import GridDescriptor
-from .errors import ModelFormatError, ModelMismatchError, ParameterError, TrainingError
+from .errors import LbpxError, ModelFormatError, ModelMismatchError, ParameterError, TrainingError
 from .image import fields_equal, frozen_array, open_file, read_text_file
 from .lbp import LbpParams, _json_int
 
@@ -63,6 +63,20 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
         if np.any(weights < 0):
             raise ParameterError("region weights must be non-negative")
     return float(_distances(a[np.newaxis], b, metric, weights)[0])
+
+
+def check_class_label(label, error: type[LbpxError]) -> str:
+    """`label` if it is a legal class label, else raise `error`.
+
+    A legal label is a non-empty string with no newline, carriage return or
+    tab, so `classify` prints it as one field of one line.
+    """
+    if not isinstance(label, str) or not label or any(c in label for c in "\n\r\t"):
+        raise error(
+            f"class label must be a non-empty string without newline, carriage return "
+            f"or tab, got {label!r}"
+        )
+    return label
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +143,7 @@ def build_templates(samples, region_weights=None) -> Model:
     reference = samples[0][1]
     by_class: dict[str, list[np.ndarray]] = {}
     for label, desc in samples:
-        if not isinstance(label, str) or not label:
-            raise TrainingError(f"class label must be a non-empty string, got {label!r}")
+        check_class_label(label, TrainingError)
         if (
             desc.params != reference.params
             or desc.grid_rows != reference.grid_rows
@@ -219,9 +232,7 @@ def deserialize_model(text: str) -> Model:
             raise ModelFormatError(f"unsupported model format version {version}")
         params = LbpParams.from_json_dict(doc["params"])
         rows, cols = (_json_int(v, "grid size") for v in doc["grid"])
-        labels = tuple(entry["label"] for entry in doc["classes"])
-        if not all(type(label) is str for label in labels):
-            raise TypeError("class labels must be strings")
+        labels = tuple(check_class_label(e["label"], ModelFormatError) for e in doc["classes"])
         templates = [_json_numbers(entry["template"], "template") for entry in doc["classes"]]
         weights = doc.get("weights")
         if weights is not None:

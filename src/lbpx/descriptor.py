@@ -85,15 +85,18 @@ def _cell_edges(extent: int, cells: int) -> list[tuple[int, int]]:
 def grid_values(labels: np.ndarray, grid_rows: int, grid_cols: int, bin_count: int) -> np.ndarray:
     """Concatenated normalized cell histograms of a raw label array."""
     height, width = labels.shape
-    out = np.empty(grid_rows * grid_cols * bin_count, dtype=np.float64)
-    idx = 0
-    for y_start, y_stop in _cell_edges(height, grid_rows):
-        for x_start, x_stop in _cell_edges(width, grid_cols):
-            cell = labels[y_start:y_stop, x_start:x_stop]
-            hist = np.bincount(cell.reshape(-1), minlength=bin_count).astype(np.float64)
-            out[idx : idx + bin_count] = hist / cell.size
-            idx += bin_count
-    return out
+    row_edges = _cell_edges(height, grid_rows)
+    col_sizes = [stop - start for start, stop in _cell_edges(width, grid_cols)]
+    # count once: each label moves to bin (cell index x bin_count + label);
+    # int32 bins when they all fit, which is cheaper to add and count
+    total = grid_rows * grid_cols * bin_count
+    col_base = np.arange(grid_cols, dtype=np.int32 if total < 2**31 else np.int64) * bin_count
+    bins = labels + np.repeat(col_base, col_sizes)
+    for row, (start, stop) in enumerate(row_edges):
+        bins[start:stop] += row * grid_cols * bin_count
+    counts = np.bincount(bins.reshape(-1), minlength=total).reshape(-1, bin_count)
+    cell_sizes = np.outer([stop - start for start, stop in row_edges], col_sizes)
+    return (counts / cell_sizes.reshape(-1, 1)).reshape(-1)
 
 
 def grid_descriptor(lmap: LbpMap, grid_rows: int = 3, grid_cols: int = 3) -> GridDescriptor:

@@ -41,7 +41,10 @@ class Manifest:
 def load_manifest(text) -> Manifest:
     """Parse CSV with header path,label,split; data rows are numbered from 1."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ManifestError(f"manifest is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -222,43 +222,57 @@ def _sample_plan(sampling: str, neighbors: int, radius: float) -> tuple:
 def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
     """Raw codes of every interior pixel, one bit per sample, MSB first.
 
-    Samples on the lattice compare the 8-bit pixels directly. The others use
-    the nested lerp of `bilinear_sample` (horizontal first, then vertical),
-    with the same float64 operations in the same order, so the codes equal
-    the scalar operator's bit for bit and constant areas stay exact.
+    Every pass runs on the flat row-major run from the first to the last
+    interior pixel, so sample (ix, iy) is one shift `iy*w + ix` and each
+    ufunc reads and writes contiguous memory; the 2*o entries between
+    interior rows are computed and dropped. Samples on the lattice compare
+    the 8-bit pixels directly. The others use the nested lerp of
+    `bilinear_sample` (horizontal first, then vertical), with the same
+    float64 operations in the same order, so the codes equal the scalar
+    operator's bit for bit and constant areas stay exact.
     """
     o = params.origin_offset
     h, w = px.shape
     ch, cw = h - 2 * o, w - 2 * o
-    plan = _sample_plan(params.sampling, params.neighbors, params.radius)
-    codes = np.zeros((ch, cw), dtype=np.uint8 if params.neighbors <= 8 else np.uint32)
-    ge = np.empty((ch, cw), dtype=bool)
+    start, n = o * w + o, (ch - 1) * w + cw
+    neighbors = params.neighbors
+    plan = _sample_plan(params.sampling, neighbors, params.radius)
+    flat = px.reshape(-1)
+    center = flat[start : start + n]
+    # bits gather in a uint8 plane (doubling is a cheap shift) and every 8
+    # bits, counted from the LSB end, move into the codes; 8 more doublings
+    # clear the plane
+    plane = np.zeros(ch * w, dtype=np.uint8)
+    codes = plane if neighbors <= 8 else np.zeros(ch * w, dtype=np.uint32)
+    bits, ge = plane[:n], np.empty(n, dtype=bool)
     if any(fx or fy for _, fx, _, fy in plan):
-        f = px.astype(np.float64)
-        dfx = f[:, 1:] - f[:, :-1]  # exact: the pixels are integers
-        center_f = f[o : h - o, o : w - o]
-        lerp_x = np.empty((ch + 1, cw))
-        lerp_y = np.empty((ch, cw))
-    for ix, fx, iy, fy in plan:
-        rows = slice(o + iy, o + iy + ch + (1 if fy else 0))
-        cols = slice(o + ix, o + ix + cw)
+        f = flat.astype(np.float64)
+        dfx = f[1:] - f[:-1]  # exact: the pixels are integers
+        center_f = f[start : start + n]
+        lerp_x, lerp_y = np.empty(n + w), np.empty(n)
+    for p, (ix, fx, iy, fy) in enumerate(plan):
+        s = start + iy * w + ix
         if not (fx or fy):
-            np.greater_equal(px[rows, cols], px[o : h - o, o : w - o], out=ge)
+            np.greater_equal(flat[s : s + n], center, out=ge)
         else:
-            samples = f[rows, cols]
+            # row r of the run is the top of center row r and the bottom of row r - 1
+            span = slice(s, s + n + (w if fy else 0))
+            samples = f[span]
             if fx:
-                samples = np.multiply(dfx[rows, cols], fx, out=lerp_x[: len(samples)])
-                samples += f[rows, cols]
+                samples = np.multiply(dfx[span], fx, out=lerp_x[: len(samples)])
+                samples += f[span]
             if fy:
-                # row r is the top of map row r and the bottom of map row r - 1
-                np.subtract(samples[1:], samples[:-1], out=lerp_y)
+                np.subtract(samples[w:], samples[:-w], out=lerp_y)
                 lerp_y *= fy
-                lerp_y += samples[:-1]
+                lerp_y += samples[:-w]
                 samples = lerp_y
             np.greater_equal(samples, center_f, out=ge)
-        codes <<= 1
-        codes |= ge.view(np.uint8)
-    return codes
+        bits += bits
+        bits |= ge.view(np.uint8)
+        still = neighbors - 1 - p
+        if neighbors > 8 and still % 8 == 0:
+            codes[:n] |= bits.astype(np.uint32) << still
+    return codes.reshape(ch, w)[:, :cw]
 
 
 def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:

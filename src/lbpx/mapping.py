@@ -52,7 +52,7 @@ class MappingTable:
         object.__setattr__(self, "table", arr)
 
     def apply(self, codes: np.ndarray) -> np.ndarray:
-        return self.table[codes]
+        return np.take(self.table, codes)
 
 
 def uniformity(code: int, neighbors: int) -> int:

@@ -175,6 +175,9 @@ class TestBuildTemplates:
             build_templates([("", desc)])
         with pytest.raises(TrainingError):
             build_templates([(7, desc)])
+        for label in ("a\nb", "a\rb", "a\tb", "\n"):
+            with pytest.raises(TrainingError, match="newline"):
+                build_templates([(label, desc)])
 
     def test_region_weights_attached_and_validated(self):
         desc = make_descriptor([0.5, 0.5, 0.5, 0.5], grid_rows=2, grid_cols=1)
@@ -355,6 +358,13 @@ class TestModelSerialization:
         doc = json.loads(serialize_model(self.make_model()))
         doc["classes"][1]["label"] = doc["classes"][0]["label"]
         with pytest.raises(ModelFormatError):
+            deserialize_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("label", ["", "a\nb", "a\rb", "a\tb"])
+    def test_rejects_labels_that_break_output_lines(self, label):
+        doc = json.loads(serialize_model(self.make_model()))
+        doc["classes"][0]["label"] = label
+        with pytest.raises(ModelFormatError, match="class label"):
             deserialize_model(json.dumps(doc))
 
     def test_rejects_empty_class_list(self):

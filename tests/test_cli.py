@@ -215,6 +215,16 @@ class TestTrainCommand:
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
         assert run_cli(["train", "--manifest", str(bad)]) == 2
 
+    def test_quoted_label_with_newline_exits_1(self, tmp_path, rng, capsys):
+        save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text('path,label,split\na.pgm,"a\nb",train\n', encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lbpx: ") and captured.err.count("\n") == 1
+
     def test_manifest_without_train_rows_exits_3(self, tmp_path, rng):
         save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")
         manifest = tmp_path / "m.csv"
@@ -290,11 +300,13 @@ class TestClassifyCommand:
          ("neighbors", 8.9), ("neighbors", "8"), ("neighbors", True), ("radius", "1.5"),
          ("grid", [3.7, "3"]), ("template", "0.25"), ("template", True),
          ("weights", ["1"] + [1.0] * 8), ("weights", [True] + [1.0] * 8), ("label", 5),
-         ("mapping", "riu2")],
+         ("mapping", "riu2"), ("label", ""), ("label", "a\nb"), ("label", "a\rb"),
+         ("label", "a\tb")],
         ids=["nan-bin", "inf-bin", "negative-bin", "3-weights-on-3x3", "inf-weight",
              "fractional-neighbors", "string-neighbors", "bool-neighbors", "string-radius",
              "non-integer-grid", "string-bin", "bool-bin", "string-weight", "bool-weight",
-             "integer-label", "template-length-vs-labels"],
+             "integer-label", "template-length-vs-labels", "empty-label", "newline-label",
+             "carriage-return-label", "tab-label"],
     )
     def test_invalid_model_values_exit_2(self, field, value, tmp_path, sample_image, capsys):
         # each of these once loaded (int()/float()/str() coerced them) or exited 1 or 3

@@ -39,6 +39,10 @@ class TestLoadManifest:
         m = load_manifest(b"path,label,split\na.pgm,x,train\n")
         assert len(m.entries) == 1
 
+    def test_bytes_that_are_not_utf8_raise(self):
+        with pytest.raises(ManifestError, match="UTF-8"):
+            load_manifest(b"path,label,split\n\xff,a,train\n")
+
     def test_fields_are_stripped(self):
         m = load_manifest("path,label,split\n a.pgm , x , train \n")
         assert m.entries[0].path == "a.pgm"

@@ -1,6 +1,7 @@
 """Operator tests: 3x3 codes, circular sampling geometry, whole-image maps."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -292,6 +293,51 @@ class TestLbpMap:
         lmap = lbp_map(random_image(rng, 6, 6), LbpParams())
         with pytest.raises(ValueError):
             lmap.labels[0, 0] = 0
+
+
+class TestFlatRunEdges:
+    """The code kernel walks the flat row-major run of interior pixels and packs
+    bits in 8-bit planes; these shapes and neighbor counts sit on its edges."""
+
+    @staticmethod
+    def scalar_codes(img, params):
+        o = params.origin_offset
+        rows, cols = range(img.height - 2 * o), range(img.width - 2 * o)
+        if params.sampling == "square3x3":
+            return [[lbp_code_3x3(img.pixels[y : y + 3, x : x + 3]) for x in cols] for y in rows]
+        return [[lbp_code_circular(img, x + o, y + o, params) for x in cols] for y in rows]
+
+    @pytest.mark.parametrize(
+        "sampling,neighbors,radius",
+        [("square3x3", 8, 1.0), ("circular", 2, 1.0), ("circular", 5, 1.7),
+         ("circular", 8, 1.0), ("circular", 11, 1.3), ("circular", 12, 2.5),
+         ("circular", 17, 2.0), ("circular", 24, 3.0)],
+    )
+    @pytest.mark.parametrize(
+        "extra_cols,extra_rows", [(0, 6), (7, 0), (0, 0)],
+        ids=["one-column", "one-row", "one-pixel"],
+    )
+    def test_raw_map_matches_scalar_codes(
+        self, rng, sampling, neighbors, radius, extra_cols, extra_rows
+    ):
+        params = LbpParams(neighbors=neighbors, radius=radius, sampling=sampling, mapping="raw")
+        side = 2 * params.origin_offset + 1
+        for low, high in ((0, 256), (100, 103)):
+            img = random_image(rng, side + extra_cols, side + extra_rows, low=low, high=high)
+            lmap = lbp_map(img, params)
+            assert lmap.labels.tolist() == self.scalar_codes(img, params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [LbpParams(), LbpParams(neighbors=16, radius=2.0, sampling="circular", mapping="riu2")],
+        ids=["square", "circular"],
+    )
+    def test_concurrent_maps_equal_serial_maps(self, rng, params):
+        img = random_image(rng, 61, 47)
+        serial = lbp_map(img, params)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            maps = list(pool.map(lambda _: lbp_map(img, params), range(16)))
+        assert all(lmap == serial for lmap in maps)
 
 
 class TestLbpMapToImage:
