@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .classify import METRICS, load_model, predict, serialize_model
-from .descriptor import grid_descriptor
+from .descriptor import describe_image
 from .detect import _lattice_suppress, _scan
 from .errors import LbpxError, ParameterError
 from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
@@ -168,7 +168,7 @@ def _cmd_map(args) -> int:
 def _cmd_describe(args) -> int:
     params = _params_from_args(args)
     rows, cols = _grid_from_args(args)
-    desc = grid_descriptor(lbp_map(load_pgm_file(args.input), params), rows, cols)
+    desc = describe_image(load_pgm_file(args.input), params, rows, cols)
     _emit_text(json.dumps(desc.to_json_dict(), indent=2) + "\n", args.output)
     return 0
 
@@ -184,8 +184,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
-    desc = grid_descriptor(
-        lbp_map(load_pgm_file(args.input), model.params), model.grid_rows, model.grid_cols
+    desc = describe_image(
+        load_pgm_file(args.input), model.params, model.grid_rows, model.grid_cols
     )
     label, scores = predict(model, desc, args.metric)
     lines = [label]

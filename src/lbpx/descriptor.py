@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundsError, CorruptMapError, ParameterError
-from .image import fields_equal, frozen_array
-from .lbp import LbpMap, LbpParams
-from .mapping import label_count
+from .image import GrayImage, fields_equal, frozen_array
+from .lbp import LbpMap, LbpParams, _check_fits, _codes
+from .mapping import build_mapping, label_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +82,38 @@ def _cell_edges(extent: int, cells: int) -> list[tuple[int, int]]:
     return edges
 
 
-def grid_values(labels: np.ndarray, grid_rows: int, grid_cols: int, bin_count: int) -> np.ndarray:
-    """Concatenated normalized cell histograms of a raw label array."""
-    height, width = labels.shape
+def grid_values(
+    values: np.ndarray, grid_rows: int, grid_cols: int, bin_count: int, table=None
+) -> np.ndarray:
+    """Concatenated normalized cell histograms of a 2-D array of labels, or
+    of codes that count toward label table[code] when a `table` is given."""
+    height, width = values.shape
     row_edges = _cell_edges(height, grid_rows)
     col_sizes = [stop - start for start, stop in _cell_edges(width, grid_cols)]
-    # count once: each label moves to bin (cell index x bin_count + label);
-    # int32 bins when they all fit, which is cheaper to add and count
-    total = grid_rows * grid_cols * bin_count
-    col_base = np.arange(grid_cols, dtype=np.int32 if total < 2**31 else np.int64) * bin_count
-    bins = labels + np.repeat(col_base, col_sizes)
+    # count once: each value moves to bin (cell index x value_count + value),
+    # written in one pass as the intp that bincount reads without a cast
+    value_count = bin_count if table is None else len(table)
+    col_base = np.repeat(np.arange(grid_cols, dtype=np.intp) * value_count, col_sizes)
+    bins = np.empty(values.shape, dtype=np.intp)
     for row, (start, stop) in enumerate(row_edges):
-        bins[start:stop] += row * grid_cols * bin_count
-    counts = np.bincount(bins.reshape(-1), minlength=total).reshape(-1, bin_count)
+        np.add(values[start:stop], col_base + row * grid_cols * value_count, out=bins[start:stop])
+    cells = grid_rows * grid_cols
+    counts = np.bincount(bins.reshape(-1), minlength=cells * value_count)
+    if table is not None:
+        # exact: weights are integer counts far below 2^53
+        folded = np.arange(cells, dtype=np.intp)[:, None] * bin_count + table
+        counts = np.bincount(folded.reshape(-1), counts, minlength=cells * bin_count)
     cell_sizes = np.outer([stop - start for start, stop in row_edges], col_sizes)
-    return (counts / cell_sizes.reshape(-1, 1)).reshape(-1)
+    return (counts.reshape(cells, bin_count) / cell_sizes.reshape(-1, 1)).reshape(-1)
+
+
+def _check_grid(grid_rows: int, grid_cols: int, width: int, height: int) -> None:
+    if grid_rows < 1 or grid_cols < 1:
+        raise ParameterError(f"grid must be at least 1x1, got {grid_rows}x{grid_cols}")
+    if grid_rows > height or grid_cols > width:
+        raise ParameterError(
+            f"grid {grid_rows}x{grid_cols} exceeds map dimensions {width}x{height}"
+        )
 
 
 def grid_descriptor(lmap: LbpMap, grid_rows: int = 3, grid_cols: int = 3) -> GridDescriptor:
@@ -105,14 +122,30 @@ def grid_descriptor(lmap: LbpMap, grid_rows: int = 3, grid_cols: int = 3) -> Gri
     Cell widths are floor(width / grid_cols) with the last column absorbing
     the remainder (same for rows), so every map pixel is counted once.
     """
-    if grid_rows < 1 or grid_cols < 1:
-        raise ParameterError(f"grid must be at least 1x1, got {grid_rows}x{grid_cols}")
-    if grid_rows > lmap.height or grid_cols > lmap.width:
-        raise ParameterError(
-            f"grid {grid_rows}x{grid_cols} exceeds map dimensions {lmap.width}x{lmap.height}"
-        )
+    _check_grid(grid_rows, grid_cols, lmap.width, lmap.height)
     bins = label_count(lmap.params.mapping, lmap.params.neighbors)
     values = grid_values(lmap.labels, grid_rows, grid_cols, bins)
     return GridDescriptor(
         grid_rows=grid_rows, grid_cols=grid_cols, params=lmap.params, values=values
     )
+
+
+def describe_image(
+    img: GrayImage, params: LbpParams, grid_rows: int = 3, grid_cols: int = 3
+) -> GridDescriptor:
+    """`grid_descriptor(lbp_map(img, params), grid_rows, grid_cols)`, bit for bit,
+    without the map: up to 8 neighbors the code counts of each cell fold
+    through the mapping table, beyond that the table is gathered first."""
+    o = params.origin_offset
+    _check_fits(img, o)
+    _check_grid(grid_rows, grid_cols, img.width - 2 * o, img.height - 2 * o)
+    codes, table = _codes(img.pixels, params), None
+    if params.mapping != "raw":
+        mapping = build_mapping(params.neighbors, params.mapping)
+        if params.neighbors > 8:
+            codes = mapping.apply(codes)
+        else:
+            table = mapping.table
+    bins = label_count(params.mapping, params.neighbors)
+    values = grid_values(codes, grid_rows, grid_cols, bins, table)
+    return GridDescriptor(grid_rows=grid_rows, grid_cols=grid_cols, params=params, values=values)

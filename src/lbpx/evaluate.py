@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import Model, build_templates, predict
-from .descriptor import grid_descriptor
+from .descriptor import describe_image
 from .errors import EvaluationError, ManifestError, ParameterError
 from .image import GrayImage, fields_equal, frozen_array, load_pgm_file, read_text_file
 from .lbp import LbpParams, lbp_map
@@ -135,8 +135,7 @@ class EvalReport:
 def _describe_entry(entry: ManifestEntry, params: LbpParams, rows: int, cols: int, base_dir):
     # OSError and PgmFormatError propagate with the offending path attached
     path = Path(base_dir) / entry.path if base_dir is not None else Path(entry.path)
-    img = load_pgm_file(path)
-    return grid_descriptor(lbp_map(img, params), rows, cols)
+    return describe_image(load_pgm_file(path), params, rows, cols)
 
 
 def train_model(

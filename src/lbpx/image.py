@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -109,6 +110,10 @@ class IntegralImage:
         return self.sums.shape[0]
 
 
+# separators (whitespace, '#' comments to end of line or data), then one token
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
+
+
 class _PgmScanner:
     """Token scanner over PNM header bytes; '#' starts a comment to end of line."""
 
@@ -116,35 +121,21 @@ class _PgmScanner:
         self.data = data
         self.pos = 0
 
-    def _skip_separators(self) -> None:
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte in (b"#",):
-                eol = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if eol < 0 else eol + 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
     def next_token(self, what: str) -> bytes:
-        self._skip_separators()
-        start = self.pos
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte in _WHITESPACE or byte == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
+        match = _TOKEN.match(self.data, self.pos)
+        self.pos = match.end()
+        if match.start(1) == self.pos:
             raise PgmFormatError(f"unexpected end of header while reading {what}")
-        return self.data[start : self.pos]
+        return match[1]
 
     def next_int(self, what: str) -> int:
         token = self.next_token(what)
-        try:
-            return int(token)
-        except ValueError:
-            raise PgmFormatError(f"malformed {what} {token!r} in header") from None
+        if token.isdigit():  # ASCII digits only: no sign, '_' or non-ASCII digit
+            try:
+                return int(token)
+            except ValueError:  # more digits than int() will read
+                pass
+        raise PgmFormatError(f"malformed {what} {token!r} in header")
 
 
 def load_pgm(data: bytes) -> GrayImage:
@@ -185,12 +176,11 @@ def load_pgm(data: bytes) -> GrayImage:
                 raise PgmFormatError(
                     f"truncated pixel payload: expected {count} values, got {len(values)}"
                 ) from None
-        scanner._skip_separators()
-        if scanner.pos < len(data):
+        if _TOKEN.match(data, scanner.pos)[1]:
             raise PgmFormatError("trailing data after pixel payload")
-        pixels = np.array(values, dtype=np.int64)
-        if pixels.min() < 0 or pixels.max() > maxval:
+        if max(values) > maxval:
             raise PgmFormatError("pixel value outside [0, maxval]")
+        pixels = np.array(values, dtype=np.uint8)
 
     return GrayImage(pixels.reshape(height, width))
 

@@ -275,6 +275,14 @@ def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
     return codes.reshape(ch, w)[:, :cw]
 
 
+def _check_fits(img: GrayImage, o: int) -> None:
+    if img.width < 2 * o + 1 or img.height < 2 * o + 1:
+        raise ParameterError(
+            f"image {img.width}x{img.height} too small for origin offset {o}; "
+            f"need at least {2 * o + 1}x{2 * o + 1}"
+        )
+
+
 def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
     """Label every pixel whose whole sampling neighborhood is in-bounds.
 
@@ -282,11 +290,7 @@ def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
     configured mapping table is applied unless the mapping is raw.
     """
     o = params.origin_offset
-    if img.width < 2 * o + 1 or img.height < 2 * o + 1:
-        raise ParameterError(
-            f"image {img.width}x{img.height} too small for origin offset {o}; "
-            f"need at least {2 * o + 1}x{2 * o + 1}"
-        )
+    _check_fits(img, o)
     codes = _codes(img.pixels, params)
     if params.mapping != "raw":
         codes = _mapping.build_mapping(params.neighbors, params.mapping).apply(codes)

@@ -149,6 +149,41 @@ class TestDescribeCommand:
         }
         assert len(doc["bins"]) == 9 * 14
 
+    @pytest.mark.parametrize(
+        "tag, flags",
+        [
+            ("raw_2x2", ["--mapping", "raw", "--grid", "2x2"]),
+            ("ri_3x3", ["--mapping", "ri"]),
+            ("u2_2x5", ["--grid", "2x5"]),
+            ("p16r2_u2_3x3", ["--sampling", "circular", "--neighbors", "16", "--radius", "2"]),
+        ],
+    )
+    def test_output_matches_golden(self, tag, flags, capsys):
+        # written by the lbp_map -> grid_descriptor chain; the square3x3 cases
+        # fold code counts through the table, P16 gathers labels first
+        assert run_cli(["describe", "--input", str(GOLDEN / "detect_scene.pgm")] + flags) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"describe_{tag}.json").read_text()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n3 3\n255\n" + b"7 " * 8 + b"99999999999999999999\n",
+             "pixel value outside [0, maxval]"),
+            (b"P5\n+3 3\n255\n" + bytes(9), "malformed width b'+3'"),
+            (b"P5\n3 1_6\n255\n" + bytes(48), "malformed height b'1_6'"),
+            (b"P5\n" + b"9" * 5000 + b" 3\n255\n" + bytes(9), "malformed width b'9999"),
+            (b"P2\n3 3\n255\n" + b"7 " * 8 + b"9" * 5000 + b"\n",
+             "truncated pixel payload: expected 9 values, got 8"),
+        ],
+    )
+    def test_pgm_numbers_out_of_reach_exit_2(self, tmp_path, data, message, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(data)
+        assert run_cli(["describe", "--input", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{bad}: {message}" in captured.err
+
     def test_malformed_grid_exits_1(self, sample_image, capsys):
         assert run_cli(["describe", "--input", str(sample_image), "--grid", "3"]) == 1
         assert run_cli(["describe", "--input", str(sample_image), "--grid", "axb"]) == 1

@@ -11,6 +11,7 @@ from lbpx import (
     LbpMap,
     LbpParams,
     ParameterError,
+    describe_image,
     grid_descriptor,
     lbp_map,
     region_histogram,
@@ -155,3 +156,72 @@ class TestGridDescriptor:
         desc = grid_descriptor(lbp_map(img, LbpParams(mapping="riu2")), 2, 3)
         clone = GridDescriptor.from_json_dict(desc.to_json_dict())
         assert clone == desc
+
+
+OPERATORS = [("square3x3", 8, 1.0)] + [
+    ("circular", p, r) for p, r in [(2, 1.0), (5, 1.5), (8, 1.0), (12, 2.5), (16, 2.0), (24, 3.0)]
+]
+# every mapping at every operator but raw and ri at P24: 2^24 histogram bins
+# per cell, and a cold 2^24-entry ri table build held for the whole session
+DESCRIBE_CASES = [
+    (*op, mapping)
+    for op in OPERATORS
+    for mapping in ("raw", "u2", "ri", "riu2")
+    if not (op[1] == 24 and mapping in ("raw", "ri"))
+]
+
+
+def _outcome(build):
+    """Descriptor bytes, or the ParameterError text when the build is refused."""
+    try:
+        return build().values.tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
+class TestDescribeImage:
+    """`describe_image` against the `grid_descriptor(lbp_map(...))` chain, byte for byte."""
+
+    @pytest.mark.parametrize("sampling, neighbors, radius, mapping", DESCRIBE_CASES)
+    def test_bytes_equal_chain(self, sampling, neighbors, radius, mapping, rng):
+        params = LbpParams(neighbors, radius, sampling, mapping)
+        o = params.origin_offset
+        # a 7x9 map, then maps of one row, one column and one pixel
+        for map_h, map_w in [(7, 9), (1, 6), (5, 1), (1, 1)]:
+            shape = (map_h + 2 * o, map_w + 2 * o)
+            images = [
+                rng.integers(0, 256, size=shape),
+                rng.choice([40, 41, 200], size=shape),
+                np.full(shape, 77),
+            ]
+            for pixels in images:
+                img = GrayImage(pixels)
+                for rows, cols in [(1, 1), (3, 3), (2, 5), (map_h, map_w)]:
+                    expected = _outcome(lambda: grid_descriptor(lbp_map(img, params), rows, cols))
+                    assert _outcome(lambda: describe_image(img, params, rows, cols)) == expected
+
+    @pytest.mark.parametrize(
+        "params", [LbpParams(), LbpParams(16, 2.0, "circular", "u2"), LbpParams(mapping="raw")]
+    )
+    @pytest.mark.parametrize(
+        "shape, grid",
+        [
+            ((2, 9), (1, 1)),  # too small, grid valid
+            ((9, 2), (0, 0)),  # too small and zero grid: the size is reported first
+            ((9, 9), (0, 3)),
+            ((9, 9), (3, -1)),
+            ((9, 9), (99, 1)),
+            ((9, 9), (1, 99)),
+        ],
+    )
+    def test_errors_match_chain(self, params, shape, grid, rng):
+        img = GrayImage(rng.integers(0, 256, size=shape))
+        expected = _outcome(lambda: grid_descriptor(lbp_map(img, params), *grid))
+        assert isinstance(expected, str)
+        assert _outcome(lambda: describe_image(img, params, *grid)) == expected
+
+    def test_default_grid_and_params(self, rng):
+        img = random_image(rng, 12, 10)
+        desc = describe_image(img, LbpParams(mapping="riu2"))
+        assert desc == grid_descriptor(lbp_map(img, LbpParams(mapping="riu2")))
+        assert (desc.grid_rows, desc.grid_cols, desc.bin_count) == (3, 3, 10)

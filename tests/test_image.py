@@ -23,7 +23,111 @@ from lbpx import (
     save_pgm_file,
 )
 
+from lbpx.image import _PgmScanner
+
 from conftest import random_image
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+# The byte-by-byte scanner that `_PgmScanner` replaced, kept verbatim as the
+# oracle for its tokens, positions and error texts.
+class _OracleScanner:
+    """Token scanner over PNM header bytes; '#' starts a comment to end of line."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def _skip_separators(self) -> None:
+        while self.pos < len(self.data):
+            byte = self.data[self.pos : self.pos + 1]
+            if byte in (b"#",):
+                eol = self.data.find(b"\n", self.pos)
+                self.pos = len(self.data) if eol < 0 else eol + 1
+            elif byte in _WHITESPACE:
+                self.pos += 1
+            else:
+                return
+
+    def next_token(self, what: str) -> bytes:
+        self._skip_separators()
+        start = self.pos
+        while self.pos < len(self.data):
+            byte = self.data[self.pos : self.pos + 1]
+            if byte in _WHITESPACE or byte == b"#":
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise PgmFormatError(f"unexpected end of header while reading {what}")
+        return self.data[start : self.pos]
+
+    def next_int(self, what: str) -> int:
+        token = self.next_token(what)
+        try:
+            return int(token)
+        except ValueError:
+            raise PgmFormatError(f"malformed {what} {token!r} in header") from None
+
+
+# fragments of fuzzed headers: separators, comments, numbers good and bad
+_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"# note\n", b"#\n", b"#x#"]
+_BAD_TOKENS = [
+    b"P6", b"+2", b"-1", b"1_6", b"0x1", b"\xd9\xa3", b"\xff", b"2\xc2\xb2", b"3.0",
+    b"99999999999999999999", b"256", b"0", b"007",
+]
+# more digits than int() reads by default (4300); drawn rarely, since the
+# byte-by-byte oracle takes milliseconds to scan it
+_HUGE_TOKEN = b"9" * 5000
+
+
+def _fuzz_pgm(gen) -> bytes:
+    """Magic, width, height, maxval and pixels, each sometimes replaced by a
+    bad token, joined by 0-3 separators; then maybe cut short or ended by '#'."""
+    magic = b"P5" if gen.random() < 0.5 else b"P2"
+    width, height = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+    fields = [magic, b"%d" % width, b"%d" % height, b"%d" % gen.integers(1, 256)]
+    fields += [b"%d" % gen.integers(0, 256) for _ in range(width * height)]
+    parts = []
+    for i, field in enumerate(fields):
+        if gen.random() < 0.15:
+            field = _BAD_TOKENS[gen.integers(len(_BAD_TOKENS))]
+        elif gen.random() < 0.003:
+            field = _HUGE_TOKEN
+        parts.append(field)
+        if magic == b"P5" and i == 3:
+            parts.append(b"\n" + gen.bytes(int(gen.integers(0, width * height + 2))))
+            break
+        for _ in range(gen.integers(0 if i else 1, 4)):
+            parts.append(_SEPARATORS[gen.integers(len(_SEPARATORS))])
+    data = b"".join(parts)
+    if gen.random() < 0.2:
+        data = data[: gen.integers(0, len(data) + 1)]
+    if gen.random() < 0.1:
+        data += b"#"
+    return data
+
+
+def _scan_all(scanner) -> list:
+    """Every (token, position) up to the end of data, then the error text."""
+    seen = []
+    while True:
+        try:
+            seen.append((scanner.next_token("token"), scanner.pos))
+        except PgmFormatError as exc:
+            return seen + [(str(exc), scanner.pos)]
+
+
+def test_fuzzed_pgm_scans_like_the_oracle_and_loads_or_raises():
+    gen = np.random.default_rng(20240817)
+    for _ in range(3000):
+        data = _fuzz_pgm(gen)
+        assert _scan_all(_PgmScanner(data)) == _scan_all(_OracleScanner(data)), data
+        try:
+            img = load_pgm(data)
+        except PgmFormatError:
+            continue
+        assert isinstance(img, GrayImage), data
 
 
 class TestGrayImage:
@@ -173,6 +277,29 @@ class TestLoadPgm:
     def test_rejects_ascii_value_above_maxval(self):
         with pytest.raises(PgmFormatError, match="maxval"):
             load_pgm(b"P2\n1 1\n100\n101\n")
+
+    @pytest.mark.parametrize("token", [b"+2", b"1_6", b"\xd9\xa3", b"2\xc2\xb2", b" -2"])
+    def test_rejects_dimension_that_is_not_ascii_digits(self, token):
+        with pytest.raises(PgmFormatError, match="malformed width"):
+            load_pgm(b"P5\n" + token + b" 1\n255\n\x00\x00")
+
+    def test_rejects_ascii_value_beyond_int64(self):
+        with pytest.raises(PgmFormatError, match="outside"):
+            load_pgm(b"P2\n2 1\n255\n7 99999999999999999999\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", "malformed width"),
+            (b"P5\n1 1\n" + b"9" * 5000 + b"\n\x00", "malformed maxval"),
+            # a malformed P2 value is reported as a short payload
+            (b"P2\n2 1\n255\n7 " + b"9" * 5000 + b"\n", "truncated"),
+        ],
+    )
+    def test_rejects_number_past_int_digit_limit(self, data, message):
+        # int() refuses more than 4300 digits by default; that must not escape
+        with pytest.raises(PgmFormatError, match=message):
+            load_pgm(data)
 
     def test_extra_binary_bytes_are_ignored(self):
         # P5 readers take exactly width*height bytes; some writers pad
