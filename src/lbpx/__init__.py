@@ -16,11 +16,10 @@ from .classify import (
     save_model,
     serialize_model,
 )
-from .descriptor import GridDescriptor, describe_image, grid_descriptor, region_histogram
+from .descriptor import GridDescriptor, describe_image, grid_descriptor
 from .detect import Detection, iou, nms, scan_detect
 from .errors import (
     BoundsError,
-    CorruptMapError,
     EvaluationError,
     LbpxError,
     ManifestError,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchmarkResult",
     "BoundsError",
-    "CorruptMapError",
     "Detection",
     "EvalReport",
     "EvaluationError",
@@ -114,7 +112,6 @@ __all__ = [
     "load_pgm_file",
     "nms",
     "predict",
-    "region_histogram",
     "region_sum",
     "save_model",
     "save_pgm",

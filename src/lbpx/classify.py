@@ -34,7 +34,8 @@ def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=No
     if metric == "chi2":
         return terms.sum(axis=1)
     regions = terms.reshape(len(templates), len(weights), -1).sum(axis=2)
-    return (regions * weights).sum(axis=1)
+    with np.errstate(over="ignore"):  # a huge weight gives an infinite distance, never NaN
+        return (regions * weights).sum(axis=1)
 
 
 def distance(a, b, metric: str = "chi2", weights=None) -> float:
@@ -85,8 +86,8 @@ class Model:
 
     Class labels are unique and stored in ascending lexicographic order;
     templates[i] belongs to class_labels[i]. Every region of the
-    rows x cols grid has one bin per label of `params`. Templates and the
-    optional per-region weights are finite and non-negative.
+    rows x cols grid has one bin per label of `params`. Template bins lie in
+    [0, 1]; the optional per-region weights are finite and non-negative.
     """
 
     params: LbpParams
@@ -95,7 +96,6 @@ class Model:
     class_labels: tuple[str, ...]
     templates: np.ndarray
     region_weights: np.ndarray | None = None
-    format_version: int = MODEL_FORMAT_VERSION
 
     def __post_init__(self):
         labels = self.class_labels
@@ -118,10 +118,11 @@ class Model:
             if weights.shape != (regions,):
                 raise ParameterError(f"need {regions} region weights, got shape {weights.shape}")
             object.__setattr__(self, "region_weights", weights)
-        for name, values in (("template bins", templates), ("region weights", weights)):
-            # NaN fails both comparisons
-            if values is not None and not np.all((values >= 0) & (values < np.inf)):
-                raise ParameterError(f"{name} must be finite and non-negative")
+        # NaN fails every comparison; a template bin is a normalized count
+        if not np.all((templates >= 0) & (templates <= 1)):
+            raise ParameterError("template bins must lie in [0, 1]")
+        if weights is not None and not np.all((weights >= 0) & (weights < np.inf)):
+            raise ParameterError("region weights must be finite and non-negative")
 
     @property
     def n_classes(self) -> int:
@@ -199,7 +200,7 @@ def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[
 
 def serialize_model(model: Model) -> str:
     doc = {
-        "format_version": model.format_version,
+        "format_version": MODEL_FORMAT_VERSION,
         "params": model.params.to_json_dict(),
         "grid": [model.grid_rows, model.grid_cols],
         "classes": [
@@ -248,7 +249,6 @@ def deserialize_model(text: str) -> Model:
             class_labels=labels,
             templates=templates,
             region_weights=weights,
-            format_version=version,
         )
     except (ParameterError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid model file: {exc}") from None

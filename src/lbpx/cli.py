@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +21,6 @@ from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
 from .lbp import LbpParams, lbp_map, lbp_map_to_image
 from .image import load_pgm_file, open_file, save_pgm_file
 from .mapping import MAPPING_MODES
-
-THREAD_CAP_ENV = "LBPX_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,12 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="throughput benchmark of the map operator")
     p.add_argument("--input", required=True, help="input PGM image")
     p.add_argument("--iterations", type=int, default=100, help="timed iterations (default 100)")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help=f"worker threads, capped by the CPU count and ${THREAD_CAP_ENV} (default 1)",
-    )
     _add_params_flags(p)
 
     return parser
@@ -225,23 +216,13 @@ def _cmd_detect(args) -> int:
 def _cmd_bench(args) -> int:
     params = _params_from_args(args)
     img = load_pgm_file(args.input)
-    text = os.environ.get(THREAD_CAP_ENV, "0") or "0"
-    try:
-        cap = int(text)
-    except ValueError:
-        raise ParameterError(f"${THREAD_CAP_ENV} must be an integer, got {text!r}") from None
-    # more threads than CPUs only adds contention to the timed loop
-    threads = min(args.threads, os.cpu_count() or 1)
-    if cap > 0:
-        threads = min(threads, cap)
-    result = benchmark_fps(img, params, iterations=args.iterations, threads=threads)
+    result = benchmark_fps(img, params, iterations=args.iterations)
     config = json.dumps(params.to_json_dict())
     sys.stdout.write(
         "{\n"
         f'  "fps": {result.fps:.6f},\n'
         f'  "ms_per_frame": {result.ms_per_frame:.6f},\n'
         f'  "iterations": {result.iterations},\n'
-        f'  "threads": {result.threads},\n'
         f'  "image": [{result.image_width}, {result.image_height}],\n'
         f'  "config": {config}\n'
         "}\n"

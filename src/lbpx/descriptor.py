@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, CorruptMapError, ParameterError
+from .errors import ParameterError
 from .image import GrayImage, fields_equal, frozen_array
 from .lbp import LbpMap, LbpParams, _check_fits, _codes
 from .mapping import build_mapping, label_count
@@ -40,35 +40,6 @@ class GridDescriptor:
             "params": self.params.to_json_dict(),
             "bins": [float(v) for v in self.values],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GridDescriptor":
-        rows, cols = (int(v) for v in d["grid"])
-        return cls(
-            grid_rows=rows,
-            grid_cols=cols,
-            params=LbpParams.from_json_dict(d["params"]),
-            values=np.array(d["bins"], dtype=np.float64),
-        )
-
-
-def region_histogram(
-    lmap: LbpMap, x0: int, y0: int, x1: int, y1: int, bin_count: int, normalize: bool = True
-) -> np.ndarray:
-    """Label histogram of the inclusive map rectangle [x0, x1] x [y0, y1]."""
-    if not (0 <= x0 <= x1 < lmap.width) or not (0 <= y0 <= y1 < lmap.height):
-        raise BoundsError(
-            f"rectangle ({x0}, {y0})-({x1}, {y1}) invalid for {lmap.width}x{lmap.height} map"
-        )
-    region = lmap.labels[y0 : y1 + 1, x0 : x1 + 1]
-    if region.max() >= bin_count:
-        raise CorruptMapError(
-            f"label {int(region.max())} exceeds histogram bin count {bin_count}"
-        )
-    hist = np.bincount(region.reshape(-1), minlength=bin_count).astype(np.float64)
-    if normalize:
-        hist /= region.size
-    return hist
 
 
 def _cell_edges(extent: int, cells: int) -> list[tuple[int, int]]:

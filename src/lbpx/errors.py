@@ -21,10 +21,6 @@ class ParameterError(LbpxError):
     """Invalid operator parameter or incompatible argument combination."""
 
 
-class CorruptMapError(LbpxError):
-    """Label map contains values outside its declared label space."""
-
-
 class TrainingError(LbpxError):
     """Template construction received unusable training input."""
 

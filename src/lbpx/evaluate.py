@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,21 +115,6 @@ class EvalReport:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "EvalReport":
-        config = d["config"]
-        return cls(
-            accuracy=float(d["accuracy"]),
-            class_labels=tuple(str(c) for c in d["classes"]),
-            confusion=np.array(d["confusion"], dtype=np.int64),
-            n_test=int(d["n_test"]),
-            params=LbpParams.from_json_dict(config),
-            grid_rows=int(config["grid"][0]),
-            grid_cols=int(config["grid"][1]),
-            metric=str(config["metric"]),
-            fps=None if d["fps"] is None else float(d["fps"]),
-        )
-
 
 def _describe_entry(entry: ManifestEntry, params: LbpParams, rows: int, cols: int, base_dir):
     # OSError and PgmFormatError propagate with the offending path attached
@@ -203,45 +187,28 @@ class BenchmarkResult:
     fps: float
     ms_per_frame: float
     iterations: int
-    threads: int
     image_width: int
     image_height: int
     params: LbpParams
 
 
-def benchmark_fps(
-    img: GrayImage, params: LbpParams, iterations: int = 100, threads: int = 1
-) -> BenchmarkResult:
+def benchmark_fps(img: GrayImage, params: LbpParams, iterations: int = 100) -> BenchmarkResult:
     """Time `iterations` map computations; fps = iterations / elapsed seconds.
 
-    Map allocation is part of the measured work. With threads > 1 the same
-    number of iterations is spread over a thread pool and wall-clock time is
-    still measured outside the pool.
+    Map allocation is part of the measured work.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be at least 1, got {iterations}")
-    if threads < 1:
-        raise ParameterError(f"threads must be at least 1, got {threads}")
     lbp_map(img, params)  # warm-up outside the timed loop
-    if threads == 1:
-        start = time.perf_counter()
-        for _ in range(iterations):
-            lbp_map(img, params)
-        elapsed = time.perf_counter() - start
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            start = time.perf_counter()
-            futures = [pool.submit(lbp_map, img, params) for _ in range(iterations)]
-            for future in futures:
-                future.result()
-            elapsed = time.perf_counter() - start
-    elapsed = max(elapsed, 1e-9)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        lbp_map(img, params)
+    elapsed = max(time.perf_counter() - start, 1e-9)
     fps = iterations / elapsed
     return BenchmarkResult(
         fps=fps,
         ms_per_frame=1000.0 / fps,
         iterations=iterations,
-        threads=threads,
         image_width=img.width,
         image_height=img.height,
         params=params,

@@ -171,11 +171,17 @@ def load_pgm(data: bytes) -> GrayImage:
         values = []
         for _ in range(count):
             try:
-                values.append(scanner.next_int("pixel value"))
+                token = scanner.next_token("pixel value")
             except PgmFormatError:
                 raise PgmFormatError(
                     f"truncated pixel payload: expected {count} values, got {len(values)}"
                 ) from None
+            if not token.isdigit():
+                raise PgmFormatError(f"malformed pixel value {token!r}")
+            try:
+                values.append(int(token))
+            except ValueError:  # more digits than int() will read: far above maxval
+                values.append(maxval + 1)
         if _TOKEN.match(data, scanner.pos)[1]:
             raise PgmFormatError("trailing data after pixel payload")
         if max(values) > maxval:

@@ -247,7 +247,7 @@ def test_throughput_320x240_at_least_10_fps():
     thread; fps and ms/frame are reported."""
     rng = np.random.default_rng(24001)
     img = GrayImage(rng.integers(0, 256, size=(240, 320), dtype=np.int64))
-    result = benchmark_fps(img, LbpParams(mapping="raw"), iterations=30, threads=1)
+    result = benchmark_fps(img, LbpParams(mapping="raw"), iterations=30)
     ok = result.fps >= 10.0
     assert verdict(
         ok,

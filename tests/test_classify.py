@@ -261,6 +261,15 @@ class TestPredict:
         with pytest.raises(ParameterError):
             predict(model, make_descriptor([1.0, 0.0]), "wchi2")
 
+    def test_huge_weights_give_infinite_wchi2_distance(self):
+        # a region's weighted chi2 overflows to inf, never NaN, and the tie
+        # goes to the smallest label
+        desc = make_descriptor([1.0, 0.0, 0.0, 1.0], grid_rows=2, grid_cols=1)
+        model = build_templates([("x", desc), ("y", desc)], region_weights=[1e308, 1e308])
+        query = make_descriptor([0.0, 1.0, 1.0, 0.0], grid_rows=2, grid_cols=1)
+        label, scores = predict(model, query, "wchi2")
+        assert label == "x" and scores.tolist() == [float("inf")] * 2
+
     def test_wchi2_uses_model_weights(self):
         desc = make_descriptor([1.0, 0.0, 0.0, 1.0], grid_rows=2, grid_cols=1)
         model = build_templates([("x", desc)], region_weights=[0.0, 1.0])
@@ -387,7 +396,9 @@ class TestModelInvalidValues:
         return json.loads((GOLDEN / "train_u2.json").read_text())
 
     @pytest.mark.parametrize(
-        "value", [float("nan"), float("inf"), -0.25], ids=["nan-bin", "inf-bin", "negative-bin"]
+        "value",
+        [float("nan"), float("inf"), -0.25, 1.5, 1e308],
+        ids=["nan-bin", "inf-bin", "negative-bin", "above-one-bin", "huge-bin"],
     )
     def test_rejects_bad_template_bin(self, value):
         doc = self.golden_doc()

@@ -1,7 +1,8 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
 import json
-import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 from lbpx import (
     BoundsError,
-    CorruptMapError,
     EvaluationError,
     GrayImage,
     LbpParams,
@@ -79,7 +79,7 @@ class TestArgumentHandling:
             "classify": ["--model", "--input", "--metric"],
             "evaluate": ["--manifest", "--metric", "--grid"],
             "detect": ["--scene", "--model", "--window", "--stride", "--threshold", "--nms-iou"],
-            "bench": ["--input", "--iterations", "--threads"],
+            "bench": ["--input", "--iterations", "--neighbors", "--mapping"],
         }[command]
         for flag in flags:
             assert flag in text
@@ -173,7 +173,9 @@ class TestDescribeCommand:
             (b"P5\n3 1_6\n255\n" + bytes(48), "malformed height b'1_6'"),
             (b"P5\n" + b"9" * 5000 + b" 3\n255\n" + bytes(9), "malformed width b'9999"),
             (b"P2\n3 3\n255\n" + b"7 " * 8 + b"9" * 5000 + b"\n",
-             "truncated pixel payload: expected 9 values, got 8"),
+             "pixel value outside [0, maxval]"),
+            (b"P2\n2 1\n255\n5 abc\n", "malformed pixel value b'abc'"),
+            (b"P2\n1 1\n255\n-5\n", "malformed pixel value b'-5'"),
         ],
     )
     def test_pgm_numbers_out_of_reach_exit_2(self, tmp_path, data, message, capsys):
@@ -658,51 +660,16 @@ class TestBenchCommand:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["fps", "ms_per_frame", "iterations", "image", "config"]
         assert doc["iterations"] == 3
-        assert doc["threads"] == 1
         assert doc["fps"] > 0
         assert doc["image"] == [24, 24]
         assert doc["config"]["sampling"] == "square3x3"
 
-    def test_thread_cap_env_limits_workers(self, sample_image, capsys, monkeypatch):
-        monkeypatch.setenv("LBPX_THREADS", "1")
-        code = run_cli(
-            ["bench", "--input", str(sample_image), "--iterations", "2", "--threads", "4"]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 1
-
-    def test_unset_cap_leaves_threads_alone(self, sample_image, capsys, monkeypatch):
-        monkeypatch.delenv("LBPX_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        code = run_cli(
-            ["bench", "--input", str(sample_image), "--iterations", "2", "--threads", "2"]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == 2
-
-    @pytest.mark.parametrize("cpus, cap, expected", [(1, None, 1), (3, None, 3), (3, "2", 2)])
-    def test_threads_clamped_to_cpu_count(
-        self, cpus, cap, expected, sample_image, capsys, monkeypatch
-    ):
-        # one iteration: the pool never starts more than one thread
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        if cap is None:
-            monkeypatch.delenv("LBPX_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LBPX_THREADS", cap)
-        code = run_cli(
-            ["bench", "--input", str(sample_image), "--iterations", "1", "--threads", "64"]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["threads"] == expected
-
-    def test_non_integer_thread_cap_exits_1(self, sample_image, capsys, monkeypatch):
-        monkeypatch.setenv("LBPX_THREADS", "abc")
-        assert run_cli(["bench", "--input", str(sample_image), "--iterations", "1"]) == 1
+    def test_threads_flag_is_a_usage_error(self, sample_image, capsys):
+        assert run_cli(["bench", "--input", str(sample_image), "--threads", "2"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "lbpx: $LBPX_THREADS must be an integer, got 'abc'\n"
+        assert captured.out == "" and "--threads" in captured.err
 
     def test_bad_iteration_count_exits_1(self, sample_image):
         assert run_cli(["bench", "--input", str(sample_image), "--iterations", "0"]) == 1
@@ -713,7 +680,6 @@ EXIT_CODES = {
     LbpxError: 1,
     ParameterError: 1,
     BoundsError: 1,
-    CorruptMapError: 1,
     TrainingError: 1,
     PgmFormatError: 2,
     ManifestError: 2,
@@ -787,3 +753,172 @@ class TestDeterminism:
                 "--window", "16x16", "--stride", "4"]
         first, second = self.run_twice(argv, capsys)
         assert first == second
+
+
+class TestFuzz:
+    """Seeded mutations of manifests, model JSON and numeric flags: every run
+    exits 0-3 without a traceback, and the same argv gives the same bytes."""
+
+    # at most 16 valid neighbors: a P24 table takes up to seconds to build
+    FLAG_VALUES = {
+        "--neighbors": ["-1", "0", "1", "2", "4", "8", "12", "16", "25", "8.0", "x", ""],
+        "--radius": ["-1", "0", "0.5", "1", "1.5", "2.5", "7", "1e308", "nan", "inf", "x"],
+        "--sampling": ["square3x3", "circular"],
+        "--mapping": ["raw", "u2", "ri", "riu2"],
+        "--grid": ["1x1", "2x3", "3x3", "0x3", "3", "axb", "-1x2", "1x2x3", "99x99", "9" * 30],
+        "--window": ["8x8", "12x6", "16x16", "1x1", "0x4", "4x", "99x99", "8X8", "9" * 30 + "x8"],
+        "--stride": ["1", "3", "8", "0", "-2", "x", "9" * 30],
+        "--threshold": ["inf", "-inf", "nan", "0", "0.5", "3", "1e400", "x"],
+        "--nms-iou": ["0", "0.3", "1", "-0.5", "2", "nan", "x"],
+        "--metric": ["chi2", "wchi2", "intersect", "l1"],
+    }
+    PARAMS_FLAGS = ["--neighbors", "--radius", "--sampling", "--mapping"]
+    JUNK = [None, True, -1, 0, 2, 1.5, 1e308, 10**30, "", "x", "a\tb", [], [1], {}]
+
+    @pytest.fixture
+    def inputs(self, tmp_path, rng, capsys):
+        manifest = write_texture_corpus(tmp_path, rng, 1, 1, size=16)
+        scene = tmp_path / "scene.pgm"
+        save_pgm_file(texture_image("checker", 24, rng), scene)
+        one_class = tmp_path / "one.csv"
+        one_class.write_text("path,label,split\nchecker_train_0.pgm,t,train\n", encoding="utf-8")
+        models = {}
+        for name, source in (("m", manifest), ("d", one_class)):
+            assert run_cli(["train", "--manifest", str(source)]) == 0
+            models[name] = json.loads(capsys.readouterr().out)
+        return tmp_path, manifest.read_text(), scene, models
+
+    def pick(self, rng, values):
+        return values[int(rng.integers(len(values)))]
+
+    def flags(self, rng, names):
+        argv = []
+        for name in names:
+            if rng.random() < 0.3:
+                argv += [name, self.pick(rng, self.FLAG_VALUES[name])]
+        return argv
+
+    def mutate_manifest(self, rng, text):
+        lines = text.splitlines()
+        kind = int(rng.integers(9))
+        row = 1 + int(rng.integers(len(lines) - 1))
+        if kind == 0:
+            lines[0] = self.pick(rng, ["", "path,label", "label,path,split", "path,label,split,x"])
+        elif kind == 1:
+            fields = lines[row].split(",")
+            lines[row] = ",".join(fields + ["x"] if rng.random() < 0.5 else fields[:2])
+        elif kind == 2:
+            path, label, split = lines[row].split(",")
+            lines[row] = ",".join([path, self.pick(rng, ["", " ", "a\tb", label]), split])
+        elif kind == 3:
+            path, label, _ = lines[row].split(",")
+            lines[row] = ",".join([path, label, self.pick(rng, ["", "val", "TRAIN"])])
+        elif kind == 4:
+            lines.append(lines[row])
+        elif kind == 5:
+            path, label, split = lines[row].split(",")
+            lines[row] = ",".join([self.pick(rng, ["none.pgm", "one.csv", "", "."]), label, split])
+        elif kind == 6:
+            split = self.pick(rng, ["train", "test"])
+            lines = [line for line in lines if not line.endswith("," + split)]
+        elif kind == 7:
+            path, _, split = lines[row].split(",")
+            lines[row] = ",".join([path, "unseen", split])
+        text = "\n".join(lines) + "\n"
+        data = text.encode("utf-8")
+        if kind == 8:
+            cut = int(rng.integers(len(data)))
+            data = data[:cut] + self.pick(rng, [b"", b"\xff", b'"', b"\x00"]) + data[cut + 1 :]
+        return data
+
+    def mutate_model(self, rng, doc):
+        doc = json.loads(json.dumps(doc))
+        kind = int(rng.integers(7))
+        if kind == 0:
+            del doc[self.pick(rng, sorted(doc))]
+        elif kind == 1:
+            doc[self.pick(rng, sorted(doc))] = self.pick(rng, self.JUNK)
+        elif kind == 2:
+            key = self.pick(rng, sorted(doc["params"]))
+            doc["params"][key] = self.pick(
+                rng, self.JUNK + [4, 8, 16, "raw", "u2", "ri", "riu2", "circular"]
+            )
+        elif kind == 3:
+            entry = self.pick(rng, doc["classes"])
+            entry[self.pick(rng, ["label", "template"])] = self.pick(rng, self.JUNK)
+        elif kind == 4:
+            template = self.pick(rng, doc["classes"])["template"]
+            i = int(rng.integers(len(template)))
+            template[i] = self.pick(rng, self.JUNK + [float("nan"), float("inf"), -0.5])
+        elif kind == 5:
+            doc["grid"] = [self.pick(rng, self.JUNK + [1, 3]) for _ in range(2)]
+        elif kind == 6:
+            weights = [[1.0] * 9, [1e308] * 9, [1.0] * 3, [-1.0] * 9, "x", None]
+            doc["weights"] = self.pick(rng, weights)
+        data = json.dumps(doc, indent=1).encode("utf-8")
+        if rng.random() < 0.2:
+            data = data[: int(rng.integers(len(data)))]
+        return data
+
+    def case(self, rng, i, inputs):
+        root, manifest_text, scene, models = inputs
+        command = self.pick(rng, ["map", "describe", "train", "classify", "evaluate", "detect"])
+        if command in ("map", "describe"):
+            argv = [command, "--input", str(scene)]
+            if command == "map":  # only raw labels export as PGM
+                argv += ["--output", str(root / "out.pgm"), "--mapping", "raw"]
+            grid = ["--grid"] if command == "describe" else []
+            argv += self.flags(rng, self.PARAMS_FLAGS + grid)
+        elif command in ("train", "evaluate"):
+            manifest = root / f"case{i}.csv"
+            data = manifest_text.encode()
+            if rng.random() < 0.6:
+                data = self.mutate_manifest(rng, manifest_text)
+            manifest.write_bytes(data)
+            argv = [command, "--manifest", str(manifest)]
+            argv += self.flags(rng, self.PARAMS_FLAGS + ["--grid"])
+            if command == "evaluate":
+                argv += self.flags(rng, ["--metric"])
+        else:
+            model = root / f"case{i}.json"
+            # detect takes a one-class model; the other one is a mismatch (exit 3)
+            doc = models["m" if (command == "classify") == (rng.random() < 0.8) else "d"]
+            data = self.mutate_model(rng, doc) if rng.random() < 0.6 else json.dumps(doc).encode()
+            model.write_bytes(data)
+            if command == "classify":
+                argv = ["classify", "--model", str(model), "--input", str(scene)]
+                argv += self.flags(rng, ["--metric"])
+            else:
+                window = self.pick(rng, self.FLAG_VALUES["--window"])
+                if rng.random() < 0.5:
+                    window = "8x8"
+                argv = ["detect", "--scene", str(scene), "--model", str(model), "--window", window]
+                argv += self.flags(rng, ["--stride", "--threshold", "--nms-iou"])
+        return argv
+
+    def test_mutated_inputs_exit_cleanly_and_repeat(self, inputs, capsys):
+        rng = np.random.default_rng(11)
+        codes = set()
+        for i in range(200):
+            argv = self.case(rng, i, inputs)
+            runs = []
+            for _ in range(2):
+                code = run_cli(argv)
+                captured = capsys.readouterr()
+                runs.append((code, captured.out, captured.err))
+            code, _, err = runs[0]
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err, argv
+            assert runs[0] == runs[1], argv
+            codes.add(code)
+        # the mutations reach success and every kind of failure
+        assert codes == {0, 1, 2, 3}
+
+
+def test_cli_import_skips_thread_pool_module():
+    code = "import sys, lbpx.cli; print('concurrent.futures' in sys.modules)"
+    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "False\n"

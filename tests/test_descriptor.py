@@ -4,58 +4,16 @@ import numpy as np
 import pytest
 
 from lbpx import (
-    BoundsError,
-    CorruptMapError,
     GrayImage,
-    GridDescriptor,
-    LbpMap,
     LbpParams,
     ParameterError,
     describe_image,
     grid_descriptor,
     lbp_map,
-    region_histogram,
 )
 from lbpx.descriptor import grid_values
 
 from conftest import random_image
-
-
-def raw_map_from_labels(labels):
-    """Wrap a hand-built label array in an LbpMap with a raw 8-bit label space."""
-    params = LbpParams(mapping="raw")
-    return LbpMap(params=params, origin_offset=1, labels=np.asarray(labels, dtype=np.int32))
-
-
-class TestRegionHistogram:
-    def test_counts_and_normalization(self):
-        lmap = raw_map_from_labels([[0, 0, 1], [1, 1, 2], [2, 2, 2]])
-        hist = region_histogram(lmap, 0, 0, 2, 2, bin_count=4, normalize=False)
-        assert hist.tolist() == [2.0, 3.0, 4.0, 0.0]
-        norm = region_histogram(lmap, 0, 0, 2, 2, bin_count=4)
-        assert norm.tolist() == [2 / 9, 3 / 9, 4 / 9, 0.0]
-        assert norm.sum() == pytest.approx(1.0)
-
-    def test_sub_rectangle(self):
-        lmap = raw_map_from_labels([[0, 1], [2, 3]])
-        hist = region_histogram(lmap, 1, 0, 1, 1, bin_count=4, normalize=False)
-        assert hist.tolist() == [0.0, 1.0, 0.0, 1.0]
-
-    def test_single_pixel_region(self):
-        lmap = raw_map_from_labels([[7]])
-        hist = region_histogram(lmap, 0, 0, 0, 0, bin_count=8)
-        assert hist[7] == 1.0 and hist.sum() == 1.0
-
-    def test_invalid_rectangle_raises(self):
-        lmap = raw_map_from_labels([[0, 1], [2, 3]])
-        for rect in [(-1, 0, 1, 1), (0, 0, 2, 1), (1, 0, 0, 1), (0, 0, 1, 2)]:
-            with pytest.raises(BoundsError):
-                region_histogram(lmap, *rect, bin_count=4)
-
-    def test_label_beyond_bin_count_is_reported(self):
-        lmap = raw_map_from_labels([[0, 200]])
-        with pytest.raises(CorruptMapError):
-            region_histogram(lmap, 0, 0, 1, 0, bin_count=100)
 
 
 class TestGridValues:
@@ -119,7 +77,7 @@ class TestGridDescriptor:
         img = random_image(rng, 12, 12)
         lmap = lbp_map(img, LbpParams(mapping="riu2"))
         desc = grid_descriptor(lmap, 1, 1)
-        whole = region_histogram(lmap, 0, 0, lmap.width - 1, lmap.height - 1, 10)
+        whole = np.bincount(lmap.labels.reshape(-1), minlength=10) / lmap.labels.size
         assert np.allclose(desc.values, whole)
 
     def test_carries_map_params(self, rng):
@@ -150,12 +108,6 @@ class TestGridDescriptor:
         desc = grid_descriptor(lbp_map(random_image(rng, 8, 8), LbpParams()))
         with pytest.raises(ValueError):
             desc.values[0] = 9.0
-
-    def test_json_round_trip(self, rng):
-        img = random_image(rng, 14, 14)
-        desc = grid_descriptor(lbp_map(img, LbpParams(mapping="riu2")), 2, 3)
-        clone = GridDescriptor.from_json_dict(desc.to_json_dict())
-        assert clone == desc
 
 
 OPERATORS = [("square3x3", 8, 1.0)] + [

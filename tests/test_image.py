@@ -292,13 +292,19 @@ class TestLoadPgm:
         [
             (b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00", "malformed width"),
             (b"P5\n1 1\n" + b"9" * 5000 + b"\n\x00", "malformed maxval"),
-            # a malformed P2 value is reported as a short payload
-            (b"P2\n2 1\n255\n7 " + b"9" * 5000 + b"\n", "truncated"),
+            # a P2 value with that many digits lies far above any maxval
+            (b"P2\n2 1\n255\n7 " + b"9" * 5000 + b"\n", "outside"),
         ],
     )
     def test_rejects_number_past_int_digit_limit(self, data, message):
         # int() refuses more than 4300 digits by default; that must not escape
         with pytest.raises(PgmFormatError, match=message):
+            load_pgm(data)
+
+    @pytest.mark.parametrize("data", [b"P2\n2 1\n255\n5 abc\n", b"P2\n1 1\n255\n-5\n"])
+    def test_rejects_malformed_ascii_value(self, data):
+        # a bad token is not a short payload
+        with pytest.raises(PgmFormatError, match="malformed pixel value"):
             load_pgm(data)
 
     def test_extra_binary_bytes_are_ignored(self):
