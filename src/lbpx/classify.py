@@ -10,11 +10,23 @@ import numpy as np
 from .descriptor import GridDescriptor
 from .errors import LbpxError, ModelFormatError, ModelMismatchError, ParameterError, TrainingError
 from .image import fields_equal, frozen_array, open_file, read_text_file
-from .lbp import LbpParams, _json_int
+from .lbp import LbpParams, _json_typed
 
 METRICS = ("chi2", "wchi2", "intersect", "l1")
 
 MODEL_FORMAT_VERSION = 1
+
+
+def _chi2_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a - b)^2 / (a + b), broadcast; 0/0 terms are 0 rather than smoothed."""
+    total = a + b
+    return np.divide(np.square(a - b), total, out=np.zeros(total.shape), where=total > 0)
+
+
+def _same_layout(desc: GridDescriptor, like: GridDescriptor | Model, length: int) -> bool:
+    """Whether `desc` has the params and grid of `like` and `length` values."""
+    ours = desc.params, desc.grid_rows, desc.grid_cols, len(desc.values)
+    return ours == (like.params, like.grid_rows, like.grid_cols, length)
 
 
 def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=None) -> np.ndarray:
@@ -26,11 +38,7 @@ def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=No
         return 1.0 - np.minimum(templates, query).sum(axis=1)
     if metric == "l1":
         return np.abs(templates - query).sum(axis=1)
-    # 0/0 bins are skipped rather than smoothed with an epsilon
-    total = templates + query
-    diff = templates - query
-    diff *= diff
-    terms = np.divide(diff, total, out=np.zeros_like(total), where=total > 0)
+    terms = _chi2_terms(templates, query)
     if metric == "chi2":
         return terms.sum(axis=1)
     regions = terms.reshape(len(templates), len(weights), -1).sum(axis=2)
@@ -145,12 +153,7 @@ def build_templates(samples, region_weights=None) -> Model:
     by_class: dict[str, list[np.ndarray]] = {}
     for label, desc in samples:
         check_class_label(label, TrainingError)
-        if (
-            desc.params != reference.params
-            or desc.grid_rows != reference.grid_rows
-            or desc.grid_cols != reference.grid_cols
-            or len(desc.values) != len(reference.values)
-        ):
+        if not _same_layout(desc, reference, len(reference.values)):
             raise TrainingError(
                 f"sample for class {label!r} has a different descriptor configuration"
             )
@@ -181,12 +184,7 @@ def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[
 
     Ties break toward the lexicographically smallest label.
     """
-    if (
-        query.params != model.params
-        or query.grid_rows != model.grid_rows
-        or query.grid_cols != model.grid_cols
-        or len(query.values) != model.templates.shape[1]
-    ):
+    if not _same_layout(query, model, model.templates.shape[1]):
         raise ModelMismatchError("query descriptor configuration does not match the model")
     if metric not in METRICS:
         raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
@@ -223,16 +221,16 @@ def _json_numbers(values, what: str) -> list:
 def deserialize_model(text: str) -> Model:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"model file is not valid JSON: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise ModelFormatError(f"model file cannot be parsed as JSON: {exc}") from None
     except RecursionError:
         raise ModelFormatError("model file is nested too deeply to parse") from None
     try:
-        version = _json_int(doc["format_version"], "format_version")
+        version = _json_typed(doc["format_version"], int, "format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version}")
         params = LbpParams.from_json_dict(doc["params"])
-        rows, cols = (_json_int(v, "grid size") for v in doc["grid"])
+        rows, cols = (_json_typed(v, int, "grid size") for v in doc["grid"])
         labels = tuple(check_class_label(e["label"], ModelFormatError) for e in doc["classes"])
         templates = [_json_numbers(entry["template"], "template") for entry in doc["classes"]]
         weights = doc.get("weights")

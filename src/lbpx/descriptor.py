@@ -8,8 +8,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .image import GrayImage, fields_equal, frozen_array
-from .lbp import LbpMap, LbpParams, _check_fits, _codes
-from .mapping import build_mapping, label_count
+from .lbp import LbpMap, LbpParams, _coded
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +77,19 @@ def grid_values(
     return (counts.reshape(cells, bin_count) / cell_sizes.reshape(-1, 1)).reshape(-1)
 
 
-def _check_grid(grid_rows: int, grid_cols: int, width: int, height: int) -> None:
+def _describe(
+    values: np.ndarray, params: LbpParams, grid_rows: int, grid_cols: int, table=None
+) -> GridDescriptor:
+    """Check the grid against 2-D labels, or codes of `table`, and count them."""
+    height, width = values.shape
     if grid_rows < 1 or grid_cols < 1:
         raise ParameterError(f"grid must be at least 1x1, got {grid_rows}x{grid_cols}")
     if grid_rows > height or grid_cols > width:
         raise ParameterError(
             f"grid {grid_rows}x{grid_cols} exceeds map dimensions {width}x{height}"
         )
+    values = grid_values(values, grid_rows, grid_cols, params.label_count, table)
+    return GridDescriptor(grid_rows=grid_rows, grid_cols=grid_cols, params=params, values=values)
 
 
 def grid_descriptor(lmap: LbpMap, grid_rows: int = 3, grid_cols: int = 3) -> GridDescriptor:
@@ -93,12 +98,7 @@ def grid_descriptor(lmap: LbpMap, grid_rows: int = 3, grid_cols: int = 3) -> Gri
     Cell widths are floor(width / grid_cols) with the last column absorbing
     the remainder (same for rows), so every map pixel is counted once.
     """
-    _check_grid(grid_rows, grid_cols, lmap.width, lmap.height)
-    bins = label_count(lmap.params.mapping, lmap.params.neighbors)
-    values = grid_values(lmap.labels, grid_rows, grid_cols, bins)
-    return GridDescriptor(
-        grid_rows=grid_rows, grid_cols=grid_cols, params=lmap.params, values=values
-    )
+    return _describe(lmap.labels, lmap.params, grid_rows, grid_cols)
 
 
 def describe_image(
@@ -107,16 +107,6 @@ def describe_image(
     """`grid_descriptor(lbp_map(img, params), grid_rows, grid_cols)`, bit for bit,
     without the map: up to 8 neighbors the code counts of each cell fold
     through the mapping table, beyond that the table is gathered first."""
-    o = params.origin_offset
-    _check_fits(img, o)
-    _check_grid(grid_rows, grid_cols, img.width - 2 * o, img.height - 2 * o)
-    codes, table = _codes(img.pixels, params), None
-    if params.mapping != "raw":
-        mapping = build_mapping(params.neighbors, params.mapping)
-        if params.neighbors > 8:
-            codes = mapping.apply(codes)
-        else:
-            table = mapping.table
-    bins = label_count(params.mapping, params.neighbors)
-    values = grid_values(codes, grid_rows, grid_cols, bins, table)
-    return GridDescriptor(grid_rows=grid_rows, grid_cols=grid_cols, params=params, values=values)
+    values, mapping = _coded(img, params)
+    table = None if mapping is None else mapping.table
+    return _describe(values, params, grid_rows, grid_cols, table)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Model
+from .classify import Model, _chi2_terms
 from .descriptor import _cell_edges
 from .errors import ModelMismatchError, ParameterError
 from .image import GrayImage
@@ -53,10 +53,9 @@ def _chi2_scores(
     corners lie on multiples of g = gcd(stride, cell edges) on each axis, so
     counts come one label b at a time from a padded summed-area table of b's
     count per g-by-g block, whose strided corner slices give a cell's count
-    at every position at once. The terms (h-t)^2 / (h+t), 0 where h+t == 0,
-    of each possible count are tabulated per cell with the arithmetic of
-    `distance`. Memory stays O(H*W) whatever the bin count; only the order
-    in which terms are summed differs from the per-window computation.
+    at every position at once. The `_chi2_terms` of each possible count are
+    tabulated per cell. Memory stays O(H*W) whatever the bin count; only the
+    order in which terms are summed differs from the per-window computation.
     """
     rows, cols, bins = templates.shape
     map_h, map_w = map_size
@@ -94,11 +93,7 @@ def _chi2_scores(
         # table[r, c, h] is the term of a cell (r, c) holding h pixels of b;
         # h <= min(cell area, counts[b]), so longer rows are never read
         k = np.arange(min(areas.max(), counts[b]) + 1) / areas[:, :, None]
-        t = templates[:, :, b, None]
-        total = k + t
-        k -= t
-        k *= k
-        table = np.divide(k, total, out=np.zeros(k.shape), where=total > 0)
+        table = _chi2_terms(k, templates[:, :, b, None])
         for r, (y0, y1) in enumerate(row_cells):
             top, bottom = y0 // gy, y1 // gy
             for c, strip in enumerate(strips):

@@ -141,8 +141,9 @@ class _PgmScanner:
 def load_pgm(data: bytes) -> GrayImage:
     """Parse binary (P5) or ASCII (P2) PGM bytes into a GrayImage.
 
-    Header comments are permitted; maxval must not exceed 255. Pixel values
-    are stored as-is (no rescaling to maxval).
+    Header comments are permitted; maxval must not exceed 255, and no pixel
+    value may exceed maxval. Pixel values are stored as-is (no rescaling to
+    maxval).
     """
     scanner = _PgmScanner(data)
     magic = scanner.next_token("magic number")
@@ -166,7 +167,9 @@ def load_pgm(data: bytes) -> GrayImage:
             raise PgmFormatError(
                 f"truncated pixel payload: expected {count} bytes, got {len(payload)}"
             )
-        pixels = np.frombuffer(payload[:count], dtype=np.uint8)
+        values = np.frombuffer(payload[:count], dtype=np.uint8)
+        # a byte never exceeds maxval 255, so only a lower maxval needs the scan
+        peak = values.max() if maxval < 255 else 0
     else:
         values = []
         for _ in range(count):
@@ -184,11 +187,11 @@ def load_pgm(data: bytes) -> GrayImage:
                 values.append(maxval + 1)
         if _TOKEN.match(data, scanner.pos)[1]:
             raise PgmFormatError("trailing data after pixel payload")
-        if max(values) > maxval:
-            raise PgmFormatError("pixel value outside [0, maxval]")
-        pixels = np.array(values, dtype=np.uint8)
+        peak = max(values)
 
-    return GrayImage(pixels.reshape(height, width))
+    if peak > maxval:
+        raise PgmFormatError("pixel value outside [0, maxval]")
+    return GrayImage(np.asarray(values, dtype=np.uint8).reshape(height, width))
 
 
 def save_pgm(img: GrayImage) -> bytes:

@@ -79,17 +79,17 @@ class LbpParams:
         if isinstance(radius, bool) or not isinstance(radius, (int, float)):
             raise TypeError(f"radius must be a number, got {radius!r}")
         return cls(
-            neighbors=_json_int(d["neighbors"], "neighbors"),
+            neighbors=_json_typed(d["neighbors"], int, "neighbors"),
             radius=float(radius),
-            sampling=str(d["sampling"]),
-            mapping=str(d["mapping"]),
+            sampling=_json_typed(d["sampling"], str, "sampling"),
+            mapping=_json_typed(d["mapping"], str, "mapping"),
         )
 
 
-def _json_int(value, what: str) -> int:
-    """`value` if it is a JSON integer, else TypeError (bool is no integer here)."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+def _json_typed(value, kind: type, what: str):
+    """`value` if its type is exactly `kind`, else TypeError: a bool is no int here."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} must be of JSON type {kind.__name__}, got {value!r}")
     return value
 
 
@@ -275,12 +275,21 @@ def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
     return codes.reshape(ch, w)[:, :cw]
 
 
-def _check_fits(img: GrayImage, o: int) -> None:
+def _coded(img: GrayImage, params: LbpParams) -> tuple[np.ndarray, _mapping.MappingTable | None]:
+    """Interior codes with their label table, or labels and None: raw codes are
+    labels, up to 8 neighbors a caller may fold counts through the table rather
+    than gather, and beyond that the table is gathered here."""
+    o = params.origin_offset
     if img.width < 2 * o + 1 or img.height < 2 * o + 1:
         raise ParameterError(
             f"image {img.width}x{img.height} too small for origin offset {o}; "
             f"need at least {2 * o + 1}x{2 * o + 1}"
         )
+    codes = _codes(img.pixels, params)
+    if params.mapping == "raw":
+        return codes, None
+    mapping = _mapping.build_mapping(params.neighbors, params.mapping)
+    return (mapping.apply(codes), None) if params.neighbors > 8 else (codes, mapping)
 
 
 def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
@@ -289,12 +298,9 @@ def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
     The map spans (width - 2*o) x (height - 2*o) for origin offset o; the
     configured mapping table is applied unless the mapping is raw.
     """
-    o = params.origin_offset
-    _check_fits(img, o)
-    codes = _codes(img.pixels, params)
-    if params.mapping != "raw":
-        codes = _mapping.build_mapping(params.neighbors, params.mapping).apply(codes)
-    return LbpMap(params=params, origin_offset=o, labels=codes)
+    codes, mapping = _coded(img, params)
+    labels = codes if mapping is None else mapping.apply(codes)
+    return LbpMap(params=params, origin_offset=params.origin_offset, labels=labels)
 
 
 def lbp_map_to_image(lmap: LbpMap) -> GrayImage:

@@ -38,6 +38,20 @@ from conftest import texture_image, write_texture_corpus
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def huge_int_json(doc, where: str, indent=None) -> str:
+    """`doc` as JSON with an integer literal of 5,000 digits, more than int()
+    reads, at `where`: "format_version", "grid" or "template"."""
+    doc = json.loads(json.dumps(doc))
+    if where == "template":
+        doc["classes"][0]["template"][0] = "HUGE"
+    elif where == "grid":
+        doc["grid"][0] = "HUGE"
+    else:
+        doc[where] = "HUGE"
+    # json.dumps cannot write such an integer, so a placeholder stands in
+    return json.dumps(doc, indent=indent).replace('"HUGE"', "9" * 5000)
+
+
 @pytest.fixture
 def corpus(tmp_path, rng):
     manifest = write_texture_corpus(tmp_path, rng, 3, 2, size=32)
@@ -176,6 +190,7 @@ class TestDescribeCommand:
              "pixel value outside [0, maxval]"),
             (b"P2\n2 1\n255\n5 abc\n", "malformed pixel value b'abc'"),
             (b"P2\n1 1\n255\n-5\n", "malformed pixel value b'-5'"),
+            (b"P5\n4 4\n15\n" + bytes([200]) * 16, "pixel value outside [0, maxval]"),
         ],
     )
     def test_pgm_numbers_out_of_reach_exit_2(self, tmp_path, data, message, capsys):
@@ -338,12 +353,12 @@ class TestClassifyCommand:
          ("grid", [3.7, "3"]), ("template", "0.25"), ("template", True),
          ("weights", ["1"] + [1.0] * 8), ("weights", [True] + [1.0] * 8), ("label", 5),
          ("mapping", "riu2"), ("label", ""), ("label", "a\nb"), ("label", "a\rb"),
-         ("label", "a\tb")],
+         ("label", "a\tb"), ("mapping", 5), ("sampling", None)],
         ids=["nan-bin", "inf-bin", "negative-bin", "3-weights-on-3x3", "inf-weight",
              "fractional-neighbors", "string-neighbors", "bool-neighbors", "string-radius",
              "non-integer-grid", "string-bin", "bool-bin", "string-weight", "bool-weight",
              "integer-label", "template-length-vs-labels", "empty-label", "newline-label",
-             "carriage-return-label", "tab-label"],
+             "carriage-return-label", "tab-label", "integer-mapping", "null-sampling"],
     )
     def test_invalid_model_values_exit_2(self, field, value, tmp_path, sample_image, capsys):
         # each of these once loaded (int()/float()/str() coerced them) or exited 1 or 3
@@ -394,6 +409,15 @@ class TestUnreadableInputs:
         model.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
         err = self.run(["classify", "--model", str(model), "--input", str(sample_image)], capsys)
         assert "nested" in err
+
+    @pytest.mark.parametrize("field", ["format_version", "grid", "template"])
+    def test_model_integer_past_int_digit_limit(self, field, tmp_path, sample_image, capsys):
+        # json.loads raises a plain ValueError for an integer int() will not read
+        doc = json.loads((GOLDEN / "train_u2.json").read_text())
+        model = tmp_path / "model.json"
+        model.write_text(huge_int_json(doc, field), encoding="utf-8")
+        err = self.run(["classify", "--model", str(model), "--input", str(sample_image)], capsys)
+        assert "cannot be parsed as JSON" in err and "Traceback" not in err
 
     def test_manifest_path_with_nul_byte(self, tmp_path, capsys):
         err = self.run(["evaluate", "--manifest", str(tmp_path / "m\0.csv")], capsys)
@@ -832,8 +856,9 @@ class TestFuzz:
         return data
 
     def mutate_model(self, rng, doc):
+        """Mutated model bytes, and whether they must exit 2 whatever else is wrong."""
         doc = json.loads(json.dumps(doc))
-        kind = int(rng.integers(7))
+        kind = int(rng.integers(9))
         if kind == 0:
             del doc[self.pick(rng, sorted(doc))]
         elif kind == 1:
@@ -855,10 +880,17 @@ class TestFuzz:
         elif kind == 6:
             weights = [[1.0] * 9, [1e308] * 9, [1.0] * 3, [-1.0] * 9, "x", None]
             doc["weights"] = self.pick(rng, weights)
-        data = json.dumps(doc, indent=1).encode("utf-8")
+        elif kind == 8:
+            key = self.pick(rng, ["sampling", "mapping"])
+            doc["params"][key] = self.pick(rng, [v for v in self.JUNK if type(v) is not str])
+        if kind == 7:
+            where = self.pick(rng, ["format_version", "grid", "template"])
+            data = huge_int_json(doc, where, indent=1).encode("utf-8")
+        else:
+            data = json.dumps(doc, indent=1).encode("utf-8")
         if rng.random() < 0.2:
             data = data[: int(rng.integers(len(data)))]
-        return data
+        return data, kind >= 7
 
     def case(self, rng, i, inputs):
         root, manifest_text, scene, models = inputs
@@ -883,7 +915,9 @@ class TestFuzz:
             model = root / f"case{i}.json"
             # detect takes a one-class model; the other one is a mismatch (exit 3)
             doc = models["m" if (command == "classify") == (rng.random() < 0.8) else "d"]
-            data = self.mutate_model(rng, doc) if rng.random() < 0.6 else json.dumps(doc).encode()
+            data, malformed = json.dumps(doc).encode(), False
+            if rng.random() < 0.6:
+                data, malformed = self.mutate_model(rng, doc)
             model.write_bytes(data)
             if command == "classify":
                 argv = ["classify", "--model", str(model), "--input", str(scene)]
@@ -894,13 +928,15 @@ class TestFuzz:
                     window = "8x8"
                 argv = ["detect", "--scene", str(scene), "--model", str(model), "--window", window]
                 argv += self.flags(rng, ["--stride", "--threshold", "--nms-iou"])
-        return argv
+            # classify's flags always parse, and it reads the model before the image
+            return argv, 2 if malformed and command == "classify" else None
+        return argv, None
 
     def test_mutated_inputs_exit_cleanly_and_repeat(self, inputs, capsys):
         rng = np.random.default_rng(11)
         codes = set()
         for i in range(200):
-            argv = self.case(rng, i, inputs)
+            argv, expected = self.case(rng, i, inputs)
             runs = []
             for _ in range(2):
                 code = run_cli(argv)
@@ -908,6 +944,7 @@ class TestFuzz:
                 runs.append((code, captured.out, captured.err))
             code, _, err = runs[0]
             assert code in (0, 1, 2, 3), argv
+            assert expected in (None, code), argv
             assert "Traceback" not in err, argv
             assert runs[0] == runs[1], argv
             codes.add(code)

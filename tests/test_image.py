@@ -278,6 +278,13 @@ class TestLoadPgm:
         with pytest.raises(PgmFormatError, match="maxval"):
             load_pgm(b"P2\n1 1\n100\n101\n")
 
+    def test_rejects_binary_value_above_maxval(self):
+        with pytest.raises(PgmFormatError, match=r"outside \[0, maxval\]"):
+            load_pgm(b"P5\n4 4\n15\n" + bytes([200]) * 16)
+
+    def test_binary_values_up_to_maxval_load(self):
+        assert load_pgm(b"P5\n2 1\n15\n\x00\x0f").pixels.tolist() == [[0, 15]]
+
     @pytest.mark.parametrize("token", [b"+2", b"1_6", b"\xd9\xa3", b"2\xc2\xb2", b" -2"])
     def test_rejects_dimension_that_is_not_ascii_digits(self, token):
         with pytest.raises(PgmFormatError, match="malformed width"):
