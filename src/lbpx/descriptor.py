@@ -106,7 +106,7 @@ def describe_image(
 ) -> GridDescriptor:
     """`grid_descriptor(lbp_map(img, params), grid_rows, grid_cols)`, bit for bit,
     without the map: up to 8 neighbors the code counts of each cell fold
-    through the mapping table, beyond that the table is gathered first."""
+    through the mapping table, beyond that labels are counted (see `_coded`)."""
     values, mapping = _coded(img, params)
     table = None if mapping is None else mapping.table
     return _describe(values, params, grid_rows, grid_cols, table)

@@ -278,7 +278,8 @@ def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
 def _coded(img: GrayImage, params: LbpParams) -> tuple[np.ndarray, _mapping.MappingTable | None]:
     """Interior codes with their label table, or labels and None: raw codes are
     labels, up to 8 neighbors a caller may fold counts through the table rather
-    than gather, and beyond that the table is gathered here."""
+    than gather, and beyond that riu2 labels come from the bit-count rule and
+    other mappings gather the table here."""
     o = params.origin_offset
     if img.width < 2 * o + 1 or img.height < 2 * o + 1:
         raise ParameterError(
@@ -288,6 +289,8 @@ def _coded(img: GrayImage, params: LbpParams) -> tuple[np.ndarray, _mapping.Mapp
     codes = _codes(img.pixels, params)
     if params.mapping == "raw":
         return codes, None
+    if params.mapping == "riu2" and params.neighbors > 8:
+        return _mapping._riu2_labels(codes, params.neighbors), None
     mapping = _mapping.build_mapping(params.neighbors, params.mapping)
     return (mapping.apply(codes), None) if params.neighbors > 8 else (codes, mapping)
 

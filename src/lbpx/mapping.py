@@ -9,7 +9,8 @@ between 0 and 1. Label spaces:
   ri    -- codes grouped by their minimal bit-rotation, compacted in
            ascending representative order
   riu2  -- uniform codes labeled by their count of 1-bits, all non-uniform
-           codes share label P+1, for P + 2 labels
+           codes share label P+1, for P + 2 labels; beyond 8 neighbors the
+           LBP pipeline computes them with `_riu2_labels` and builds no table
 """
 
 from __future__ import annotations
@@ -103,6 +104,14 @@ def build_mapping(neighbors: int, mode: str) -> MappingTable:
         rank -= 1
         table = rank[reps]
     return MappingTable(neighbors, mode, table, count)
+
+
+def _riu2_labels(codes: np.ndarray, neighbors: int) -> np.ndarray:
+    """riu2 labels of `codes` without a table: circular transitions come in
+    even numbers, so a code is uniform iff at most 2 of its P-1 linear bit pairs differ."""
+    linear = (codes ^ (codes >> 1)) & ((1 << (neighbors - 1)) - 1)
+    nonuniform = (np.bitwise_count(linear) > 2) * np.uint8(neighbors + 1)
+    return np.maximum(np.bitwise_count(codes), nonuniform)
 
 
 def label_count(mode: str, neighbors: int) -> int:

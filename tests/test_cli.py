@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -547,11 +548,13 @@ class TestDetectCommand:
 
     @pytest.mark.parametrize(
         "mapping, window, stride",
-        [("u2", "24x24", 8), ("u2", "24x24", 4), ("u2", "24x24", 1), ("riu2", "28x20", 3)],
+        [("u2", "24x24", 8), ("u2", "24x24", 4), ("u2", "24x24", 1), ("riu2", "28x20", 3),
+         ("p16r2_riu2", "24x24", 2)],
     )
     def test_output_matches_golden(self, mapping, window, stride, capsys):
         # goldens were written by the per-window scan (one histogram and one
-        # distance call per window) and its list-based NMS
+        # distance call per window) and its list-based NMS; the circular P16 R2
+        # riu2 one when its labels were still gathered from the 2^16-entry table
         capsys.readouterr()
         code = run_cli(
             ["detect", "--scene", str(GOLDEN / "detect_scene.pgm"),
@@ -954,7 +957,8 @@ class TestFuzz:
 
 def test_cli_import_skips_thread_pool_module():
     code = "import sys, lbpx.cli; print('concurrent.futures' in sys.modules)"
-    env = {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    # the caller's environment, so PYTHONDONTWRITEBYTECODE still holds in the child
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )

@@ -121,6 +121,13 @@ DESCRIBE_CASES = [
     for mapping in ("raw", "u2", "ri", "riu2")
     if not (op[1] == 24 and mapping in ("raw", "ri"))
 ]
+# beyond 8 neighbors riu2 labels come from a bit-count rule rather than the table
+DESCRIBE_CASES += [
+    ("circular", p, r, "riu2")
+    for p in (9, 12, 16, 24)
+    for r in (1.7, 2.5, 3.0)
+    if ("circular", p, r, "riu2") not in DESCRIBE_CASES
+]
 
 
 def _outcome(build):

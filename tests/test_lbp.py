@@ -1,6 +1,8 @@
 """Operator tests: 3x3 codes, circular sampling geometry, whole-image maps."""
 
+import functools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,11 +16,14 @@ from lbpx import (
     ParameterError,
     build_mapping,
     circular_offsets,
+    describe_image,
     lbp_code_3x3,
     lbp_code_circular,
     lbp_map,
     lbp_map_to_image,
+    mapping,
 )
+from lbpx.lbp import _codes
 
 from conftest import random_image
 
@@ -338,6 +343,40 @@ class TestFlatRunEdges:
         with ThreadPoolExecutor(max_workers=2) as pool:
             maps = list(pool.map(lambda _: lbp_map(img, params), range(16)))
         assert all(lmap == serial for lmap in maps)
+
+
+class TestRiu2BeyondEightNeighbors:
+    """Beyond 8 neighbors riu2 labels come from a bit-count rule, not a table."""
+
+    @pytest.mark.parametrize("neighbors", [9, 12, 16, 24])
+    def test_labels_equal_table_gather(self, rng, neighbors):
+        # uncached: a 2^24-entry table would otherwise stay for the whole session
+        table = build_mapping.__wrapped__(neighbors, "riu2")
+        for radius in (1.7, 2.5, 3.0):
+            params = LbpParams(neighbors, radius, "circular", "riu2")
+            shape = (2 * params.origin_offset + 11, 2 * params.origin_offset + 14)
+            for pixels in (rng.integers(0, 256, size=shape),
+                           rng.choice([40, 41, 200], size=shape), np.full(shape, 77)):
+                img = GrayImage(pixels)
+                expected = table.apply(_codes(img.pixels, params))
+                assert np.array_equal(lbp_map(img, params).labels, expected)
+
+    def test_p24_builds_no_table(self, rng, monkeypatch):
+        # a fresh, empty cache stands in for build_mapping's own, which
+        # monkeypatch puts back untouched afterwards
+        fresh = functools.lru_cache(maxsize=None)(build_mapping.__wrapped__)
+        monkeypatch.setattr(mapping, "build_mapping", fresh)
+        params = LbpParams(24, 3.0, "circular", "riu2")
+        img = random_image(rng, 256, 256)
+        tracemalloc.start()
+        try:
+            describe_image(img, params)
+            lbp_map(img, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fresh.cache_info().currsize == 0
+        assert peak < 16 << 20  # the 2^24-entry int32 table alone is 64 MB
 
 
 class TestLbpMapToImage:

@@ -135,6 +135,40 @@ class TestRiu2Mapping:
             assert table[code] == table[rotated]
 
 
+class TestRiu2Rule:
+    """`_riu2_labels`, the table-free riu2 rule, against the table built from
+    the enumerated uniform codes."""
+
+    @pytest.mark.parametrize("neighbors", range(2, 17))
+    def test_every_code_matches_table(self, neighbors):
+        codes = np.arange(1 << neighbors, dtype=np.uint32)
+        labels = mapping._riu2_labels(codes, neighbors)
+        assert labels.tolist() == build_mapping(neighbors, "riu2").table.tolist()
+
+    @pytest.mark.parametrize("neighbors", range(17, 25))
+    def test_uniform_and_random_codes_match_table(self, neighbors):
+        rng = np.random.default_rng(neighbors)
+        codes = np.concatenate([
+            np.array(mapping._uniform_codes(neighbors), dtype=np.uint32),
+            rng.integers(0, 1 << neighbors, size=1 << 16, dtype=np.uint32),
+        ])
+        # uncached: a 2^24-entry table would otherwise stay for the whole session
+        table = build_mapping.__wrapped__(neighbors, "riu2").table
+        assert mapping._riu2_labels(codes, neighbors).tolist() == table[codes].tolist()
+
+    @pytest.mark.parametrize("neighbors", range(2, 25))
+    def test_nonuniform_label_marks_more_than_two_transitions(self, neighbors):
+        rng = np.random.default_rng(100 + neighbors)
+        size = 1 << neighbors
+        codes = np.arange(size, dtype=np.uint32)
+        if size > 4096:
+            uniform = np.array(mapping._uniform_codes(neighbors), dtype=np.uint32)
+            codes = np.concatenate([uniform, rng.integers(0, size, size=4096, dtype=np.uint32)])
+        labels = mapping._riu2_labels(codes, neighbors)
+        nonuniform = [uniformity(int(c), neighbors) > 2 for c in codes]
+        assert (labels == neighbors + 1).tolist() == nonuniform
+
+
 class TestRiMapping:
     def test_label_count_8_neighbors(self):
         # number of binary necklaces of length 8
