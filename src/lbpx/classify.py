@@ -10,7 +10,7 @@ import numpy as np
 from .descriptor import GridDescriptor
 from .errors import LbpxError, ModelFormatError, ModelMismatchError, ParameterError, TrainingError
 from .image import fields_equal, frozen_array, open_file, read_text_file
-from .lbp import LbpParams, _json_typed
+from .lbp import LbpParams
 
 METRICS = ("chi2", "wchi2", "intersect", "l1")
 
@@ -74,28 +74,29 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
     return float(_distances(a[np.newaxis], b, metric, weights)[0])
 
 
-def check_class_label(label, error: type[LbpxError]) -> str:
-    """`label` if it is a legal class label, else raise `error`.
+def check_class_label(label, error: type[LbpxError]) -> None:
+    """Raise `error` unless `label` is a legal class label.
 
     A legal label is a non-empty string with no newline, carriage return or
-    tab, so `classify` prints it as one field of one line.
+    tab, so `classify` prints it as one field of one line. Every `Model`
+    checks its labels with it; `build_templates` also checks each sample's
+    label before it groups and sorts them.
     """
     if not isinstance(label, str) or not label or any(c in label for c in "\n\r\t"):
         raise error(
             f"class label must be a non-empty string without newline, carriage return "
             f"or tab, got {label!r}"
         )
-    return label
 
 
 @dataclass(frozen=True, eq=False)
 class Model:
     """Per-class template descriptors plus the configuration that produced them.
 
-    Class labels are unique and stored in ascending lexicographic order;
-    templates[i] belongs to class_labels[i]. Every region of the
-    rows x cols grid has one bin per label of `params`. Template bins lie in
-    [0, 1]; the optional per-region weights are finite and non-negative.
+    Class labels pass `check_class_label`, are unique and are stored in
+    ascending lexicographic order; templates[i] belongs to class_labels[i].
+    Every region of the rows x cols grid has one bin per label of `params`.
+    Bins lie in [0, 1]; the optional per-region weights are finite and >= 0.
     """
 
     params: LbpParams
@@ -107,6 +108,8 @@ class Model:
 
     def __post_init__(self):
         labels = self.class_labels
+        for label in labels:
+            check_class_label(label, ParameterError)
         if not labels or list(labels) != sorted(set(labels)):
             raise ParameterError(f"class labels must be non-empty, unique and sorted: {labels!r}")
         if self.grid_rows < 1 or self.grid_cols < 1:
@@ -211,6 +214,14 @@ def serialize_model(model: Model) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_typed(value, what: str, *kinds: type):
+    """`value` if its type is exactly one of `kinds`, else TypeError: a bool is no int here."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{what} must be of JSON type {names}, got {value!r}")
+    return value
+
+
 def _json_numbers(values, what: str) -> list:
     """`values` if it is a JSON array of numbers, else TypeError (bool is no number here)."""
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
@@ -226,12 +237,18 @@ def deserialize_model(text: str) -> Model:
     except RecursionError:
         raise ModelFormatError("model file is nested too deeply to parse") from None
     try:
-        version = _json_typed(doc["format_version"], int, "format_version")
+        version = _json_typed(doc["format_version"], "format_version", int)
         if version != MODEL_FORMAT_VERSION:
             raise ModelFormatError(f"unsupported model format version {version}")
-        params = LbpParams.from_json_dict(doc["params"])
-        rows, cols = (_json_typed(v, int, "grid size") for v in doc["grid"])
-        labels = tuple(check_class_label(e["label"], ModelFormatError) for e in doc["classes"])
+        spec = doc["params"]
+        params = LbpParams(
+            neighbors=_json_typed(spec["neighbors"], "neighbors", int),
+            radius=float(_json_typed(spec["radius"], "radius", int, float)),
+            sampling=_json_typed(spec["sampling"], "sampling", str),
+            mapping=_json_typed(spec["mapping"], "mapping", str),
+        )
+        rows, cols = (_json_typed(v, "grid size", int) for v in doc["grid"])
+        labels = tuple(entry["label"] for entry in doc["classes"])
         templates = [_json_numbers(entry["template"], "template") for entry in doc["classes"]]
         weights = doc.get("weights")
         if weights is not None:

@@ -18,7 +18,7 @@ from .descriptor import describe_image
 from .detect import _lattice_suppress, _scan
 from .errors import LbpxError, ParameterError
 from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
-from .lbp import LbpParams, lbp_map, lbp_map_to_image
+from .lbp import SAMPLING_MODES, LbpParams, lbp_map, lbp_map_to_image
 from .image import load_pgm_file, open_file, save_pgm_file
 from .mapping import MAPPING_MODES
 
@@ -48,7 +48,7 @@ def _add_params_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=float, default=1.0, help="circle radius R (default 1.0)")
     p.add_argument(
         "--sampling",
-        choices=("square3x3", "circular"),
+        choices=SAMPLING_MODES,
         default="square3x3",
         help="neighborhood sampling mode (default square3x3)",
     )
@@ -75,10 +75,6 @@ def _params_from_args(args) -> LbpParams:
         sampling=args.sampling,
         mapping=args.mapping,
     )
-
-
-def _grid_from_args(args) -> tuple[int, int]:
-    return _parse_pair(args.grid, "grid")
 
 
 def _emit_text(text: str, output: str | None) -> None:
@@ -158,7 +154,7 @@ def _cmd_map(args) -> int:
 
 def _cmd_describe(args) -> int:
     params = _params_from_args(args)
-    rows, cols = _grid_from_args(args)
+    rows, cols = _parse_pair(args.grid, "grid")
     desc = describe_image(load_pgm_file(args.input), params, rows, cols)
     _emit_text(json.dumps(desc.to_json_dict(), indent=2) + "\n", args.output)
     return 0
@@ -166,7 +162,7 @@ def _cmd_describe(args) -> int:
 
 def _cmd_train(args) -> int:
     params = _params_from_args(args)
-    rows, cols = _grid_from_args(args)
+    rows, cols = _parse_pair(args.grid, "grid")
     manifest = load_manifest_file(args.manifest)
     model = train_model(manifest, params, rows, cols, base_dir=Path(args.manifest).parent)
     _emit_text(serialize_model(model), args.output)
@@ -188,7 +184,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     params = _params_from_args(args)
-    rows, cols = _grid_from_args(args)
+    rows, cols = _parse_pair(args.grid, "grid")
     manifest = load_manifest_file(args.manifest)
     report = evaluate(
         manifest, params, rows, cols, metric=args.metric, base_dir=Path(args.manifest).parent

@@ -89,7 +89,6 @@ class EvalReport:
     accuracy: float
     class_labels: tuple[str, ...]
     confusion: np.ndarray
-    n_test: int
     params: LbpParams
     grid_rows: int
     grid_cols: int
@@ -100,6 +99,10 @@ class EvalReport:
         object.__setattr__(self, "confusion", frozen_array(self.confusion, np.int64))
 
     __eq__ = fields_equal
+
+    @property
+    def n_test(self) -> int:
+        return int(self.confusion.sum())
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,7 +175,6 @@ def evaluate(
         accuracy=accuracy,
         class_labels=model.class_labels,
         confusion=confusion,
-        n_test=len(test),
         params=params,
         grid_rows=grid_rows,
         grid_cols=grid_cols,
@@ -189,7 +191,6 @@ class BenchmarkResult:
     iterations: int
     image_width: int
     image_height: int
-    params: LbpParams
 
 
 def benchmark_fps(img: GrayImage, params: LbpParams, iterations: int = 100) -> BenchmarkResult:
@@ -211,5 +212,4 @@ def benchmark_fps(img: GrayImage, params: LbpParams, iterations: int = 100) -> B
         iterations=iterations,
         image_width=img.width,
         image_height=img.height,
-        params=params,
     )

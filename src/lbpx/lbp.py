@@ -73,36 +73,16 @@ class LbpParams:
             "mapping": self.mapping,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LbpParams":
-        radius = d["radius"]
-        if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-            raise TypeError(f"radius must be a number, got {radius!r}")
-        return cls(
-            neighbors=_json_typed(d["neighbors"], int, "neighbors"),
-            radius=float(radius),
-            sampling=_json_typed(d["sampling"], str, "sampling"),
-            mapping=_json_typed(d["mapping"], str, "mapping"),
-        )
-
-
-def _json_typed(value, kind: type, what: str):
-    """`value` if its type is exactly `kind`, else TypeError: a bool is no int here."""
-    if type(value) is not kind:
-        raise TypeError(f"{what} must be of JSON type {kind.__name__}, got {value!r}")
-    return value
-
 
 @dataclass(frozen=True, eq=False)
 class LbpMap:
     """Per-pixel labels over the interior region of a source image.
 
-    Map position (x, y) corresponds to source pixel
-    (x + origin_offset, y + origin_offset).
+    Map position (x, y) corresponds to source pixel (x + o, y + o) for the
+    origin offset o of `params`.
     """
 
     params: LbpParams
-    origin_offset: int
     labels: np.ndarray
 
     def __post_init__(self):
@@ -114,6 +94,10 @@ class LbpMap:
                 f"labels must lie in [0, {self.params.label_count}) for this configuration"
             )
         object.__setattr__(self, "labels", arr)
+
+    @property
+    def origin_offset(self) -> int:
+        return self.params.origin_offset
 
     @property
     def width(self) -> int:
@@ -303,7 +287,7 @@ def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
     """
     codes, mapping = _coded(img, params)
     labels = codes if mapping is None else mapping.apply(codes)
-    return LbpMap(params=params, origin_offset=params.origin_offset, labels=labels)
+    return LbpMap(params=params, labels=labels)
 
 
 def lbp_map_to_image(lmap: LbpMap) -> GrayImage:

@@ -42,8 +42,6 @@ def _check_neighbors(neighbors: int) -> None:
 class MappingTable:
     """Lookup table from raw P-bit codes to compacted labels."""
 
-    neighbors: int
-    mode: str
     table: np.ndarray
     label_count: int
 
@@ -103,7 +101,7 @@ def build_mapping(neighbors: int, mode: str) -> MappingTable:
         rank = np.cumsum(reps == np.arange(size, dtype=np.uint32), dtype=np.int32)
         rank -= 1
         table = rank[reps]
-    return MappingTable(neighbors, mode, table, count)
+    return MappingTable(table, count)
 
 
 def _riu2_labels(codes: np.ndarray, neighbors: int) -> np.ndarray:

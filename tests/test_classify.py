@@ -341,6 +341,25 @@ class TestModelSerialization:
         save_model(model, path)
         assert load_model(path) == model
 
+    def test_every_model_that_builds_survives_a_file_round_trip(self, tmp_path):
+        rng = np.random.default_rng(14)
+        pool = list("ab\t\n\r ,#\u00e9")
+        path = tmp_path / "model.json"
+        outcomes = set()
+        for _ in range(200):
+            draws = (rng.choice(pool, rng.integers(0, 4)) for _ in range(rng.integers(1, 4)))
+            labels = tuple(sorted({"".join(chars) for chars in draws}))
+            try:
+                model = Model(LbpParams(), 1, 1, labels, rng.random((len(labels), BINS)))
+            except ParameterError:
+                outcomes.add("rejected")
+                continue
+            outcomes.add("built")
+            assert deserialize_model(serialize_model(model)) == model
+            save_model(model, path)
+            assert load_model(path) == model
+        assert outcomes == {"built", "rejected"}
+
     def test_rejects_invalid_json(self):
         with pytest.raises(ModelFormatError):
             deserialize_model("{not json")
@@ -453,12 +472,15 @@ class TestModelInvalidValues:
             {"templates": np.ones((1, 8))},
             {"class_labels": ("b", "a"), "templates": np.ones((2, 4 * BINS))},
             {"class_labels": ("a", "a"), "templates": np.ones((2, 4 * BINS))},
+            {"class_labels": ("a\tb",)},
+            {"class_labels": ("a", 7), "templates": np.ones((2, 4 * BINS))},
             {"class_labels": ()},
             {"grid_rows": 0},
             {"region_weights": np.ones((2, 2))},
         ],
         ids=["rows-vs-classes", "1-d-templates", "length-vs-grid", "length-vs-labels",
-             "unsorted-labels", "duplicate-labels", "no-classes", "zero-grid", "2-d-weights"],
+             "unsorted-labels", "duplicate-labels", "tab-label", "non-string-label", "no-classes",
+             "zero-grid", "2-d-weights"],
     )
     def test_constructor_checks_invariants(self, kwargs):
         fields = {

@@ -103,6 +103,36 @@ class TestArgumentHandling:
         assert run_cli(["map", "--output", "x.pgm"]) == 1
 
 
+class TestCliTextGoldens:
+    """Help and usage-error text, byte for byte, at an 80-column terminal.
+
+    Each golden holds the exit code, stdout and stderr of one invocation;
+    they were written before the parser's choices came from the library's
+    mode tuples. argparse's layout differs across Python versions; these
+    were written on Python 3.11.
+    """
+
+    COMMANDS = ["map", "describe", "train", "classify", "evaluate", "detect", "bench"]
+    CASES = {
+        "help": ["--help"],
+        **{f"help_{command}": [command, "--help"] for command in COMMANDS},
+        "no_arguments": [],
+        "unknown_command": ["transmogrify"],
+        "unknown_flag": ["describe", "--input", "in.pgm", "--wat"],
+        "missing_required_flag": ["map", "--output", "out.pgm"],
+        "bad_sampling": ["describe", "--input", "in.pgm", "--sampling", "hexagonal"],
+    }
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout is per version")
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_text_matches_golden(self, name, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = run_cli(self.CASES[name])
+        captured = capsys.readouterr()
+        text = f"exit {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+        assert text == (GOLDEN / "cli" / f"{name}.txt").read_text()
+
+
 class TestMapCommand:
     def test_writes_raw_label_map_pgm(self, tmp_path, sample_image):
         out = tmp_path / "out.pgm"

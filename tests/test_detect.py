@@ -290,6 +290,12 @@ class TestScanDetect:
         with pytest.raises(ParameterError):
             scan_detect(texture_image("flat", 12, rng), model, (16, 16))
 
+    def test_empty_window_raises(self, rng):
+        # the CLI's pair parser rejects such windows first; the library checks its own
+        model = patch_model(checker_patch(16))
+        with pytest.raises(ParameterError, match="at least 1x1"):
+            scan_detect(texture_image("flat", 32, rng), model, (0, 5))
+
     def test_window_too_small_for_grid_raises(self, rng):
         model = patch_model(checker_patch(16))  # 3x3 grid
         with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lbpx import (
+    EvalReport,
     EvaluationError,
     LbpParams,
     ManifestError,
@@ -164,6 +165,19 @@ class TestEvaluate:
         )
         with pytest.raises(EvaluationError, match="checker"):
             evaluate(manifest, LbpParams(), base_dir=tmp_path)
+
+    def test_n_test_is_the_confusion_total(self):
+        report = EvalReport(
+            accuracy=0.75,
+            class_labels=("a", "b"),
+            confusion=[[2, 1], [0, 1]],
+            params=LbpParams(),
+            grid_rows=1,
+            grid_cols=1,
+            metric="chi2",
+        )
+        assert report.n_test == report.confusion.sum() == 4
+        assert report.to_json_dict()["n_test"] == 4
 
     def test_report_json_layout(self, tmp_path, rng):
         manifest_path = write_texture_corpus(tmp_path, rng, 2, 2, size=32)

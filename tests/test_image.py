@@ -186,12 +186,19 @@ class TestFrozenArrays:
         [
             (lambda a: GrayImage(a.astype(np.uint8)), "pixels"),
             (lambda a: IntegralImage(a.astype(np.int64)), "sums"),
-            (lambda a: LbpMap(LbpParams(), 1, a.astype(np.int32)), "labels"),
+            (lambda a: LbpMap(params=LbpParams(), labels=a.astype(np.int32)), "labels"),
             (lambda a: GridDescriptor(1, 1, LbpParams(), a), "values"),
             (lambda a: Model(LbpParams(), 1, 1, ("x", "y"), a), "templates"),
             (
-                lambda a: EvalReport(1.0, ("x", "y"), a.astype(np.int64), 2, LbpParams(), 1, 1,
-                                     "chi2"),
+                lambda a: EvalReport(
+                    accuracy=1.0,
+                    class_labels=("x", "y"),
+                    confusion=a.astype(np.int64),
+                    params=LbpParams(),
+                    grid_rows=1,
+                    grid_cols=1,
+                    metric="chi2",
+                ),
                 "confusion",
             ),
         ],

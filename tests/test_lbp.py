@@ -1,6 +1,7 @@
 """Operator tests: 3x3 codes, circular sampling geometry, whole-image maps."""
 
 import functools
+import json
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -9,19 +10,23 @@ import numpy as np
 import pytest
 
 from lbpx import (
+    MAPPING_MODES,
     BoundsError,
     GrayImage,
     LbpMap,
     LbpParams,
+    Model,
     ParameterError,
     build_mapping,
     circular_offsets,
     describe_image,
+    deserialize_model,
     lbp_code_3x3,
     lbp_code_circular,
     lbp_map,
     lbp_map_to_image,
     mapping,
+    serialize_model,
 )
 from lbpx.lbp import _codes
 
@@ -71,8 +76,21 @@ class TestLbpParams:
         assert LbpParams(radius=65535.0, sampling="circular").origin_offset == 65535
 
     def test_json_round_trip(self):
-        p = LbpParams(neighbors=12, radius=2.5, sampling="circular", mapping="riu2")
-        assert LbpParams.from_json_dict(p.to_json_dict()) == p
+        # a model file is the one JSON that params are read back from
+        cases = [LbpParams(mapping=mode) for mode in MAPPING_MODES]
+        cases += [LbpParams(12, 2.5, "circular", mode) for mode in MAPPING_MODES]
+        cases.append(LbpParams(24, 3.0, "circular", "riu2"))
+        for params in cases:
+            model = Model(params, 1, 1, ("x",), np.full((1, params.label_count), 0.5))
+            assert deserialize_model(serialize_model(model)).params == params
+
+    def test_integer_radius_in_a_model_file_reads_as_float(self):
+        params = LbpParams(24, 3.0, "circular", "riu2")
+        model = Model(params, 1, 1, ("x",), np.zeros((1, params.label_count)))
+        doc = json.loads(serialize_model(model))
+        doc["params"]["radius"] = 3
+        radius = deserialize_model(json.dumps(doc)).params.radius
+        assert type(radius) is float and radius == 3.0
 
 
 class TestLbpCode3x3:
@@ -292,7 +310,23 @@ class TestLbpMap:
     def test_label_validation_rejects_out_of_range(self):
         params = LbpParams(mapping="riu2")
         with pytest.raises(ParameterError):
-            LbpMap(params=params, origin_offset=1, labels=np.array([[10]]))
+            LbpMap(params=params, labels=np.array([[10]]))
+
+    @pytest.mark.parametrize("labels", [np.zeros(4), np.zeros((0, 4))], ids=["1-d", "zero-rows"])
+    def test_labels_must_be_a_non_empty_2d_array(self, labels):
+        with pytest.raises(ParameterError, match="non-empty 2-D"):
+            LbpMap(params=LbpParams(), labels=labels)
+
+    @pytest.mark.parametrize(
+        "params, offset",
+        [(LbpParams(mapping="raw"), 1), (LbpParams(radius=2.5, sampling="circular"), 3)],
+        ids=["square3x3", "circular-r2.5"],
+    )
+    def test_origin_offset_comes_from_params(self, params, offset):
+        lmap = LbpMap(params=params, labels=np.zeros((2, 3)))
+        assert lmap.origin_offset == params.origin_offset == offset
+        with pytest.raises(TypeError):
+            LbpMap(params=params, origin_offset=offset, labels=np.zeros((2, 3)))
 
     def test_labels_are_immutable(self, rng):
         lmap = lbp_map(random_image(rng, 6, 6), LbpParams())
