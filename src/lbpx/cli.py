@@ -85,40 +85,89 @@ def _emit_text(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lbpx", description="Local binary pattern texture engine")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("map", help="compute an LBP label map and write it as PGM")
+def _map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input PGM image")
     p.add_argument("--output", required=True, help="output PGM label map")
     _add_params_flags(p)
 
-    p = sub.add_parser("describe", help="compute a grid histogram descriptor as JSON")
+
+def _cmd_map(args) -> int:
+    params = _params_from_args(args)
+    lmap = lbp_map(load_pgm_file(args.input), params)
+    save_pgm_file(lbp_map_to_image(lmap), args.output)
+    return 0
+
+
+def _describe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input PGM image")
     p.add_argument("--output", help="output JSON path (default: stdout)")
     _add_params_flags(p)
     _add_grid_flag(p)
 
-    p = sub.add_parser("train", help="build per-class templates from a manifest's train split")
+
+def _cmd_describe(args) -> int:
+    params = _params_from_args(args)
+    rows, cols = _parse_pair(args.grid, "grid")
+    desc = describe_image(load_pgm_file(args.input), params, rows, cols)
+    _emit_text(json.dumps(desc.to_json_dict(), indent=2) + "\n", args.output)
+    return 0
+
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, help="CSV manifest (path,label,split)")
     p.add_argument("--output", help="output model JSON path (default: stdout)")
     _add_params_flags(p)
     _add_grid_flag(p)
 
-    p = sub.add_parser("classify", help="classify one image against a trained model")
+
+def _cmd_train(args) -> int:
+    params = _params_from_args(args)
+    rows, cols = _parse_pair(args.grid, "grid")
+    manifest = load_manifest_file(args.manifest)
+    model = train_model(manifest, params, rows, cols, base_dir=Path(args.manifest).parent)
+    _emit_text(serialize_model(model), args.output)
+    return 0
+
+
+def _classify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--input", required=True, help="input PGM image")
     _add_metric_flag(p)
 
-    p = sub.add_parser("evaluate", help="train/test evaluation over a manifest")
+
+def _cmd_classify(args) -> int:
+    model = load_model(args.model)
+    desc = describe_image(
+        load_pgm_file(args.input), model.params, model.grid_rows, model.grid_cols
+    )
+    label, scores = predict(model, desc, args.metric)
+    lines = [label]
+    for class_label, score in zip(model.class_labels, scores):
+        lines.append(f"{class_label}\t{score:.6f}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 0
+
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True, help="CSV manifest (path,label,split)")
     p.add_argument("--output", help="output report JSON path (default: stdout)")
     _add_params_flags(p)
     _add_grid_flag(p)
     _add_metric_flag(p)
 
-    p = sub.add_parser("detect", help="sliding-window detection against a one-class model")
+
+def _cmd_evaluate(args) -> int:
+    params = _params_from_args(args)
+    rows, cols = _parse_pair(args.grid, "grid")
+    manifest = load_manifest_file(args.manifest)
+    report = evaluate(
+        manifest, params, rows, cols, metric=args.metric, base_dir=Path(args.manifest).parent
+    )
+    _emit_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.output)
+    return 0
+
+
+def _detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scene", required=True, help="scene PGM image")
     p.add_argument("--model", required=True, help="single-class model JSON file")
     p.add_argument("--window", required=True, help="window WIDTHxHEIGHT, e.g. 32x32")
@@ -137,61 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", help="output JSON-lines path (default: stdout)")
 
-    p = sub.add_parser("bench", help="throughput benchmark of the map operator")
-    p.add_argument("--input", required=True, help="input PGM image")
-    p.add_argument("--iterations", type=int, default=100, help="timed iterations (default 100)")
-    _add_params_flags(p)
-
-    return parser
-
-
-def _cmd_map(args) -> int:
-    params = _params_from_args(args)
-    lmap = lbp_map(load_pgm_file(args.input), params)
-    save_pgm_file(lbp_map_to_image(lmap), args.output)
-    return 0
-
-
-def _cmd_describe(args) -> int:
-    params = _params_from_args(args)
-    rows, cols = _parse_pair(args.grid, "grid")
-    desc = describe_image(load_pgm_file(args.input), params, rows, cols)
-    _emit_text(json.dumps(desc.to_json_dict(), indent=2) + "\n", args.output)
-    return 0
-
-
-def _cmd_train(args) -> int:
-    params = _params_from_args(args)
-    rows, cols = _parse_pair(args.grid, "grid")
-    manifest = load_manifest_file(args.manifest)
-    model = train_model(manifest, params, rows, cols, base_dir=Path(args.manifest).parent)
-    _emit_text(serialize_model(model), args.output)
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    model = load_model(args.model)
-    desc = describe_image(
-        load_pgm_file(args.input), model.params, model.grid_rows, model.grid_cols
-    )
-    label, scores = predict(model, desc, args.metric)
-    lines = [label]
-    for class_label, score in zip(model.class_labels, scores):
-        lines.append(f"{class_label}\t{score:.6f}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    params = _params_from_args(args)
-    rows, cols = _parse_pair(args.grid, "grid")
-    manifest = load_manifest_file(args.manifest)
-    report = evaluate(
-        manifest, params, rows, cols, metric=args.metric, base_dir=Path(args.manifest).parent
-    )
-    _emit_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.output)
-    return 0
-
 
 def _cmd_detect(args) -> int:
     scene = load_pgm_file(args.scene)
@@ -207,6 +201,12 @@ def _cmd_detect(args) -> int:
     ]
     _emit_text("".join(line + "\n" for line in lines), args.output)
     return 0
+
+
+def _bench_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="input PGM image")
+    p.add_argument("--iterations", type=int, default=100, help="timed iterations (default 100)")
+    _add_params_flags(p)
 
 
 def _cmd_bench(args) -> int:
@@ -226,25 +226,39 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# name -> (help, flag setup, handler), in the order `lbpx --help` lists them
 _COMMANDS = {
-    "map": _cmd_map,
-    "describe": _cmd_describe,
-    "train": _cmd_train,
-    "classify": _cmd_classify,
-    "evaluate": _cmd_evaluate,
-    "detect": _cmd_detect,
-    "bench": _cmd_bench,
+    "map": ("compute an LBP label map and write it as PGM", _map_flags, _cmd_map),
+    "describe": ("compute a grid histogram descriptor as JSON", _describe_flags, _cmd_describe),
+    "train": ("build per-class templates from a manifest's train split", _train_flags, _cmd_train),
+    "classify": ("classify one image against a trained model", _classify_flags, _cmd_classify),
+    "evaluate": ("train/test evaluation over a manifest", _evaluate_flags, _cmd_evaluate),
+    "detect": ("sliding-window detection against a one-class model", _detect_flags, _cmd_detect),
+    "bench": ("throughput benchmark of the map operator", _bench_flags, _cmd_bench),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `lbpx` parser. When `command` names a command, only its subparser
+    is built; otherwise all are, for the full help and choice list."""
+    parser = _Parser(prog="lbpx", description="Local binary pattern texture engine")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_flags, _ = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads COLUMNS while it builds, so the parser is never reused
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except LbpxError as exc:
         print(f"lbpx: {exc}", file=sys.stderr)
         return exc.exit_code

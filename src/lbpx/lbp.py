@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mapping as _mapping
 from .errors import BoundsError, ParameterError
-from .image import GrayImage, bilinear_sample, fields_equal, frozen_array
+from .image import GrayImage, fields_equal, frozen_array
 
 SAMPLING_MODES = ("square3x3", "circular")
 
@@ -167,6 +167,10 @@ def lbp_code_circular(img: GrayImage, cx: int, cy: int, params: LbpParams) -> in
 
     The whole sampling footprint must lie inside the image; each sample is
     compared to the center with the same >=-is-1 rule as the 3x3 operator.
+    A sample's integer part and fraction come from its offset alone (snapped
+    within 1e-9 of the lattice), never from the center's position, and it is
+    blended horizontally and then vertically as `bilinear_sample` blends:
+    the code kernel's rule, so `lbp_map` gives these codes bit for bit.
     """
     offsets = circular_offsets(params.neighbors, params.radius)
     if not (0 <= cx < img.width and 0 <= cy < img.height):
@@ -176,11 +180,23 @@ def lbp_code_circular(img: GrayImage, cx: int, cy: int, params: LbpParams) -> in
             raise BoundsError(
                 f"sampling circle around ({cx}, {cy}) leaves the {img.width}x{img.height} image"
             )
-    center = float(img.pixels[cy, cx])
+    px = img.pixels
+    center = float(px[cy, cx])
     code = 0
     msb = params.neighbors - 1
-    for p, (dx, dy) in enumerate(offsets):
-        if bilinear_sample(img, cx + dx, cy + dy) >= center:
+    plan = _sample_plan("circular", params.neighbors, params.radius)
+    for p, (ix, fx, iy, fy) in enumerate(plan):
+        x, y = cx + ix, cy + iy
+        top = float(px[y, x])
+        if fx:
+            top += fx * (float(px[y, x + 1]) - top)
+        value = top
+        if fy:
+            bottom = float(px[y + 1, x])
+            if fx:
+                bottom += fx * (float(px[y + 1, x + 1]) - bottom)
+            value = top + fy * (bottom - top)
+        if value >= center:
             code |= 1 << (msb - p)
     return code
 
@@ -211,9 +227,11 @@ def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
     ufunc reads and writes contiguous memory; the 2*o entries between
     interior rows are computed and dropped. Samples on the lattice compare
     the 8-bit pixels directly. The others use the nested lerp of
-    `bilinear_sample` (horizontal first, then vertical), with the same
-    float64 operations in the same order, so the codes equal the scalar
-    operator's bit for bit and constant areas stay exact.
+    `bilinear_sample` (horizontal first, then vertical) with fractions
+    taken from the offsets, so every center shares one sampling rule. The
+    scalar `lbp_code_circular` follows that rule with the same float64
+    operations in the same order, so the codes equal its codes bit for bit
+    and constant areas stay exact.
     """
     o = params.origin_offset
     h, w = px.shape

@@ -1,5 +1,6 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -51,6 +52,23 @@ def huge_int_json(doc, where: str, indent=None) -> str:
         doc[where] = "HUGE"
     # json.dumps cannot write such an integer, so a placeholder stands in
     return json.dumps(doc, indent=indent).replace('"HUGE"', "9" * 5000)
+
+
+def parse_outcome(parser, argv, capsys):
+    """What `parser` makes of `argv`: its Namespace, or its exit code and text.
+    The Namespace is compared by value reprs, since a nan flag is not equal
+    to itself."""
+    try:
+        return {key: repr(value) for key, value in vars(parser.parse_args(argv)).items()}
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def assert_one_command_parser_agrees(argv, capsys):
+    """The parser `run_cli` builds for `argv` parses it as the full one does."""
+    only, full = cli.build_parser(argv[0] if argv else None), cli.build_parser()
+    assert parse_outcome(only, argv, capsys) == parse_outcome(full, argv, capsys), argv
 
 
 @pytest.fixture
@@ -121,6 +139,10 @@ class TestCliTextGoldens:
         "unknown_flag": ["describe", "--input", "in.pgm", "--wat"],
         "missing_required_flag": ["map", "--output", "out.pgm"],
         "bad_sampling": ["describe", "--input", "in.pgm", "--sampling", "hexagonal"],
+        "classify_no_flags": ["classify"],
+        "detect_missing_window": ["detect", "--scene", "s.pgm", "--model", "m.json"],
+        "extra_argument": ["classify", "--model", "m.json", "--input", "i.pgm", "extra"],
+        "bad_metric": ["evaluate", "--manifest", "m.csv", "--metric", "cosine"],
     }
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout is per version")
@@ -131,6 +153,25 @@ class TestCliTextGoldens:
         captured = capsys.readouterr()
         text = f"exit {code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
         assert text == (GOLDEN / "cli" / f"{name}.txt").read_text()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_command_parser_agrees_with_the_full_one(self, name, capsys):
+        assert_one_command_parser_agrees(self.CASES[name], capsys)
+
+    def test_a_named_command_builds_only_its_own_subparser(self, monkeypatch, capsys):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(action, name, **kwargs):
+            names.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert run_cli(["classify", "--model", "none.json", "--input", "none.pgm"]) == 2
+        assert names == ["classify"]
+        names.clear()
+        assert run_cli(["--help"]) == 0
+        assert names == self.COMMANDS
 
 
 class TestMapCommand:
@@ -759,7 +800,8 @@ class TestExitCodes:
         def fail(args):
             raise error("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "map", fail)
+        help_text, add_flags, _ = cli._COMMANDS["map"]
+        monkeypatch.setitem(cli._COMMANDS, "map", (help_text, add_flags, fail))
         assert run_cli(["map", "--input", "in.pgm", "--output", "out.pgm"]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -965,11 +1007,17 @@ class TestFuzz:
             return argv, 2 if malformed and command == "classify" else None
         return argv, None
 
-    def test_mutated_inputs_exit_cleanly_and_repeat(self, inputs, capsys):
+    def cases(self, inputs):
         rng = np.random.default_rng(11)
+        return [self.case(rng, i, inputs) for i in range(200)]
+
+    def test_one_command_parser_agrees_with_the_full_one(self, inputs, capsys):
+        for argv, _ in self.cases(inputs):
+            assert_one_command_parser_agrees(argv, capsys)
+
+    def test_mutated_inputs_exit_cleanly_and_repeat(self, inputs, capsys):
         codes = set()
-        for i in range(200):
-            argv, expected = self.case(rng, i, inputs)
+        for argv, expected in self.cases(inputs):
             runs = []
             for _ in range(2):
                 code = run_cli(argv)

@@ -366,6 +366,19 @@ class TestFlatRunEdges:
             lmap = lbp_map(img, params)
             assert lmap.labels.tolist() == self.scalar_codes(img, params)
 
+    def test_kernel_matches_scalar_codes_on_three_level_images(self):
+        # levels 0-2 put interpolated samples on or an ulp beside the center's
+        # value, and radii down to 1e-9 reach the snap at both lattice ends
+        rng = np.random.default_rng(2014)
+        for _ in range(300):
+            neighbors = int(rng.integers(2, 25))
+            radius = float(10 ** rng.uniform(-9, math.log10(3)))
+            params = LbpParams(neighbors, radius, "circular", "raw")
+            side = 2 * params.origin_offset + 5
+            img = random_image(rng, side, side, low=0, high=3)
+            codes = _codes(img.pixels, params)
+            assert codes.tolist() == self.scalar_codes(img, params), (neighbors, radius)
+
     @pytest.mark.parametrize(
         "params",
         [LbpParams(), LbpParams(neighbors=16, radius=2.0, sampling="circular", mapping="riu2")],
