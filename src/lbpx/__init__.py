@@ -43,7 +43,6 @@ from .evaluate import (
 from .image import (
     GrayImage,
     IntegralImage,
-    bilinear_sample,
     integral_image,
     load_pgm,
     load_pgm_file,
@@ -89,7 +88,6 @@ __all__ = [
     "PgmFormatError",
     "TrainingError",
     "benchmark_fps",
-    "bilinear_sample",
     "build_mapping",
     "build_templates",
     "circular_offsets",

@@ -182,6 +182,14 @@ def build_templates(samples, region_weights=None) -> Model:
     return replace(model, templates=means)
 
 
+def _check_metric(metric: str, weights) -> None:
+    """Raise ParameterError unless `metric` is known and, for wchi2, `weights` are given."""
+    if metric not in METRICS:
+        raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if metric == "wchi2" and weights is None:
+        raise ParameterError("wchi2 requires a model with region weights")
+
+
 def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[str, np.ndarray]:
     """Nearest-template class of `query` plus per-class distances in model order.
 
@@ -189,10 +197,7 @@ def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[
     """
     if not _same_layout(query, model, model.templates.shape[1]):
         raise ModelMismatchError("query descriptor configuration does not match the model")
-    if metric not in METRICS:
-        raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if metric == "wchi2" and model.region_weights is None:
-        raise ParameterError("wchi2 requires a model with region weights")
+    _check_metric(metric, model.region_weights)
     scores = _distances(model.templates, query.values, metric, model.region_weights)
     # labels are sorted, so the first minimum is the lexicographically smallest
     winner = int(np.argmin(scores))

@@ -218,8 +218,8 @@ def _cmd_bench(args) -> int:
         "{\n"
         f'  "fps": {result.fps:.6f},\n'
         f'  "ms_per_frame": {result.ms_per_frame:.6f},\n'
-        f'  "iterations": {result.iterations},\n'
-        f'  "image": [{result.image_width}, {result.image_height}],\n'
+        f'  "iterations": {args.iterations},\n'
+        f'  "image": [{img.width}, {img.height}],\n'
         f'  "config": {config}\n'
         "}\n"
     )

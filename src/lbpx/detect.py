@@ -148,7 +148,8 @@ def _scan(
     )
     ys, xs = np.nonzero(scores <= threshold)
     hit_scores = scores[ys, xs]
-    order = np.lexsort((xs, ys, hit_scores))
+    # nonzero lists hits in scan order, so a stable sort breaks score ties by (y, x)
+    order = np.argsort(hit_scores, kind="stable")
     return xs[order], ys[order], hit_scores[order]
 
 

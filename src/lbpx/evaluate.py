@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import Model, build_templates, predict
+from .classify import Model, _check_metric, build_templates, predict
 from .descriptor import describe_image
 from .errors import EvaluationError, ManifestError, ParameterError
 from .image import GrayImage, fields_equal, frozen_array, load_pgm_file, read_text_file
@@ -37,13 +37,8 @@ class Manifest:
         return [e for e in self.entries if e.split == which]
 
 
-def load_manifest(text) -> Manifest:
+def load_manifest(text: str) -> Manifest:
     """Parse CSV with header path,label,split; data rows are numbered from 1."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ManifestError(f"manifest is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -154,7 +149,10 @@ def evaluate(
 
     Confusion rows are true classes and columns predicted classes, both in
     model (ascending label) order; accuracy is the trace over n_test.
+    The trained model has no region weights, so wchi2 fails before any
+    image is read.
     """
+    _check_metric(metric, None)
     test = manifest.split("test")
     if not test:
         raise EvaluationError("manifest has no test entries")
@@ -188,9 +186,6 @@ class BenchmarkResult:
 
     fps: float
     ms_per_frame: float
-    iterations: int
-    image_width: int
-    image_height: int
 
 
 def benchmark_fps(img: GrayImage, params: LbpParams, iterations: int = 100) -> BenchmarkResult:
@@ -206,10 +201,4 @@ def benchmark_fps(img: GrayImage, params: LbpParams, iterations: int = 100) -> B
         lbp_map(img, params)
     elapsed = max(time.perf_counter() - start, 1e-9)
     fps = iterations / elapsed
-    return BenchmarkResult(
-        fps=fps,
-        ms_per_frame=1000.0 / fps,
-        iterations=iterations,
-        image_width=img.width,
-        image_height=img.height,
-    )
+    return BenchmarkResult(fps=fps, ms_per_frame=1000.0 / fps)

@@ -1,9 +1,8 @@
-"""Grayscale raster type, file opening, PGM I/O, bilinear sampling, integral images."""
+"""Grayscale raster type, file opening, PGM I/O, integral images."""
 
 from __future__ import annotations
 
 import errno
-import math
 import os
 import re
 from dataclasses import dataclass, fields
@@ -80,11 +79,6 @@ class GrayImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view: pixel (x, y) at data[y * width + x]."""
-        return self.pixels.reshape(-1)
 
     __eq__ = fields_equal
 
@@ -212,35 +206,6 @@ def load_pgm_file(path) -> GrayImage:
 def save_pgm_file(img: GrayImage, path) -> None:
     with open_file(path, "wb") as fh:
         fh.write(save_pgm(img))
-
-
-def bilinear_sample(img: GrayImage, x: float, y: float) -> float:
-    """Bilinear blend of the 4 grid pixels around (x, y); exact at integer coords.
-
-    Valid for 0 <= x <= width-1 and 0 <= y <= height-1. The result is clamped
-    to the [min, max] of the four neighbors so rounding can never escape them.
-    """
-    if not (0.0 <= x <= img.width - 1) or not (0.0 <= y <= img.height - 1):
-        raise BoundsError(
-            f"sample point ({x}, {y}) outside [0, {img.width - 1}] x [0, {img.height - 1}]"
-        )
-    px = img.pixels
-    x0 = int(math.floor(x))
-    y0 = int(math.floor(y))
-    x1 = min(x0 + 1, img.width - 1)
-    y1 = min(y0 + 1, img.height - 1)
-    fx = x - x0
-    fy = y - y0
-    p00 = float(px[y0, x0])
-    p01 = float(px[y0, x1])
-    p10 = float(px[y1, x0])
-    p11 = float(px[y1, x1])
-    top = p00 + fx * (p01 - p00)
-    bottom = p10 + fx * (p11 - p10)
-    value = top + fy * (bottom - top)
-    lo = min(p00, p01, p10, p11)
-    hi = max(p00, p01, p10, p11)
-    return min(max(value, lo), hi)
 
 
 def integral_image(img: GrayImage) -> IntegralImage:

@@ -169,8 +169,8 @@ def lbp_code_circular(img: GrayImage, cx: int, cy: int, params: LbpParams) -> in
     compared to the center with the same >=-is-1 rule as the 3x3 operator.
     A sample's integer part and fraction come from its offset alone (snapped
     within 1e-9 of the lattice), never from the center's position, and it is
-    blended horizontally and then vertically as `bilinear_sample` blends:
-    the code kernel's rule, so `lbp_map` gives these codes bit for bit.
+    lerped horizontally and then vertically: the code kernel's rule, so
+    `lbp_map` gives these codes bit for bit.
     """
     offsets = circular_offsets(params.neighbors, params.radius)
     if not (0 <= cx < img.width and 0 <= cy < img.height):
@@ -226,12 +226,11 @@ def _codes(px: np.ndarray, params: LbpParams) -> np.ndarray:
     interior pixel, so sample (ix, iy) is one shift `iy*w + ix` and each
     ufunc reads and writes contiguous memory; the 2*o entries between
     interior rows are computed and dropped. Samples on the lattice compare
-    the 8-bit pixels directly. The others use the nested lerp of
-    `bilinear_sample` (horizontal first, then vertical) with fractions
-    taken from the offsets, so every center shares one sampling rule. The
-    scalar `lbp_code_circular` follows that rule with the same float64
-    operations in the same order, so the codes equal its codes bit for bit
-    and constant areas stay exact.
+    the 8-bit pixels directly. The others lerp horizontally and then
+    vertically, with fractions taken from the offsets, so every center
+    shares one sampling rule. The scalar `lbp_code_circular` follows that
+    rule with the same float64 operations in the same order, so the codes
+    equal its codes bit for bit and constant areas stay exact.
     """
     o = params.origin_offset
     h, w = px.shape

@@ -1,6 +1,7 @@
 """Command-line interface tests: outputs, exit codes, determinism."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -32,6 +33,7 @@ from lbpx import (
     save_pgm,
     save_pgm_file,
 )
+import lbpx
 from lbpx import cli
 from lbpx.cli import run_cli
 
@@ -520,6 +522,16 @@ class TestEvaluateCommand:
             "path,label,split\na.pgm,flat,train\nb.pgm,checker,test\n", encoding="utf-8"
         )
         assert run_cli(["evaluate", "--manifest", str(manifest)]) == 3
+
+    def test_wchi2_exits_1_before_reading_any_image(self, tmp_path, capsys):
+        # the model evaluate trains has no region weights; the images do not exist
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "path,label,split\nghost-a.pgm,a,train\nghost-b.pgm,a,test\n", encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert run_cli(["evaluate", "--manifest", str(manifest), "--metric", "wchi2"]) == 1
+        assert capsys.readouterr().err == "lbpx: wchi2 requires a model with region weights\n"
 
 
 class TestDetectCommand:
@@ -1041,3 +1053,41 @@ def test_cli_import_skips_thread_pool_module():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "False\n"
+
+
+def test_src_has_no_unused_imports():
+    # catches what a deletion leaves behind; in __init__ a name in __all__ is read
+    unused = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def test_public_names_are_pinned():
+    assert sorted(lbpx.__all__) == [
+        "BenchmarkResult", "BoundsError", "Detection", "EvalReport", "EvaluationError",
+        "GrayImage", "GridDescriptor", "IntegralImage", "LbpMap", "LbpParams", "LbpxError",
+        "MAPPING_MODES", "METRICS", "Manifest", "ManifestEntry", "ManifestError",
+        "MappingTable", "Model", "ModelFormatError", "ModelMismatchError", "ParameterError",
+        "PgmFormatError", "TrainingError", "benchmark_fps", "build_mapping",
+        "build_templates", "circular_offsets", "describe_image", "deserialize_model",
+        "distance", "evaluate", "grid_descriptor", "integral_image", "iou", "label_count",
+        "lbp_code_3x3", "lbp_code_circular", "lbp_map", "lbp_map_to_image", "load_manifest",
+        "load_manifest_file", "load_model", "load_pgm", "load_pgm_file", "nms", "predict",
+        "region_sum", "save_model", "save_pgm", "save_pgm_file", "scan_detect",
+        "serialize_model", "train_model", "uniformity",
+    ]

@@ -35,14 +35,6 @@ class TestLoadManifest:
         assert [e.path for e in m.split("train")] == ["a.pgm", "c.pgm"]
         assert [e.path for e in m.split("test")] == ["b.pgm"]
 
-    def test_accepts_bytes(self):
-        m = load_manifest(b"path,label,split\na.pgm,x,train\n")
-        assert len(m.entries) == 1
-
-    def test_bytes_that_are_not_utf8_raise(self):
-        with pytest.raises(ManifestError, match="UTF-8"):
-            load_manifest(b"path,label,split\n\xff,a,train\n")
-
     def test_fields_are_stripped(self):
         m = load_manifest("path,label,split\n a.pgm , x , train \n")
         assert m.entries[0].path == "a.pgm"
@@ -192,8 +184,6 @@ class TestBenchmarkFps:
     def test_reports_consistent_timing_fields(self, rng):
         img = random_image(rng, 64, 48)
         result = benchmark_fps(img, LbpParams(mapping="raw"), iterations=5)
-        assert result.iterations == 5
-        assert (result.image_width, result.image_height) == (64, 48)
         assert result.fps > 0
         assert result.ms_per_frame == pytest.approx(1000.0 / result.fps)
 

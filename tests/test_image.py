@@ -1,4 +1,4 @@
-"""Raster type, PGM parsing, bilinear sampling, integral image tests."""
+"""Raster type, PGM parsing, integral image tests."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from lbpx import (
     Model,
     ParameterError,
     PgmFormatError,
-    bilinear_sample,
     integral_image,
     load_pgm,
     load_pgm_file,
@@ -136,7 +135,6 @@ class TestGrayImage:
         assert img.width == 3
         assert img.height == 2
         assert img.pixels[1, 2] == 6
-        assert img.data[1 * img.width + 2] == 6
 
     def test_rejects_non_2d(self):
         with pytest.raises(ParameterError):
@@ -355,63 +353,6 @@ class TestSavePgm:
     def test_load_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_pgm_file(tmp_path / "nope.pgm")
-
-
-class TestBilinearSample:
-    def setup_method(self):
-        self.img = GrayImage(np.array([[10, 20], [30, 40]], dtype=np.uint8))
-
-    def test_midpoint_blends_all_four(self):
-        assert bilinear_sample(self.img, 0.5, 0.5) == 25.0
-
-    def test_integer_coordinates_hit_pixels_exactly(self):
-        assert bilinear_sample(self.img, 0.0, 0.0) == 10.0
-        assert bilinear_sample(self.img, 1.0, 0.0) == 20.0
-        assert bilinear_sample(self.img, 0.0, 1.0) == 30.0
-        assert bilinear_sample(self.img, 1.0, 1.0) == 40.0
-
-    def test_axis_aligned_blend(self):
-        assert bilinear_sample(self.img, 0.5, 0.0) == 15.0
-        assert bilinear_sample(self.img, 0.0, 0.5) == 20.0
-
-    def test_integer_coordinates_exact_on_random_images(self, rng):
-        img = random_image(rng, 12, 7)
-        for _ in range(60):
-            x = int(rng.integers(0, img.width))
-            y = int(rng.integers(0, img.height))
-            assert bilinear_sample(img, float(x), float(y)) == float(img.pixels[y, x])
-
-    def test_constant_neighborhood_is_exact(self, rng):
-        img = GrayImage(np.full((4, 4), 137, dtype=np.uint8))
-        for _ in range(40):
-            x = float(rng.uniform(0, 3))
-            y = float(rng.uniform(0, 3))
-            assert bilinear_sample(img, x, y) == 137.0
-
-    def test_result_bounded_by_neighbors(self, rng):
-        img = random_image(rng, 10, 10)
-        for _ in range(200):
-            x = float(rng.uniform(0, 9))
-            y = float(rng.uniform(0, 9))
-            x0, y0 = int(np.floor(x)), int(np.floor(y))
-            x1, y1 = min(x0 + 1, 9), min(y0 + 1, 9)
-            corners = [
-                img.pixels[y0, x0],
-                img.pixels[y0, x1],
-                img.pixels[y1, x0],
-                img.pixels[y1, x1],
-            ]
-            value = bilinear_sample(img, x, y)
-            assert min(corners) <= value <= max(corners)
-
-    def test_out_of_bounds_raises(self):
-        for x, y in [(-0.1, 0.0), (0.0, -0.1), (1.01, 0.0), (0.0, 1.01)]:
-            with pytest.raises(BoundsError):
-                bilinear_sample(self.img, x, y)
-
-    def test_edges_of_domain_are_valid(self):
-        assert bilinear_sample(self.img, 1.0, 1.0) == 40.0
-        assert bilinear_sample(self.img, 0.0, 0.0) == 10.0
 
 
 class TestIntegralImage:

@@ -1,6 +1,7 @@
 """Operator tests: 3x3 codes, circular sampling geometry, whole-image maps."""
 
 import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -28,7 +29,7 @@ from lbpx import (
     mapping,
     serialize_model,
 )
-from lbpx.lbp import _codes
+from lbpx.lbp import _codes, _sample_plan
 
 from conftest import random_image
 
@@ -368,11 +369,17 @@ class TestFlatRunEdges:
 
     def test_kernel_matches_scalar_codes_on_three_level_images(self):
         # levels 0-2 put interpolated samples on or an ulp beside the center's
-        # value, and radii down to 1e-9 reach the snap at both lattice ends
+        # value, and radii down to 1e-9 reach the snap at both lattice ends;
+        # at P=24, R=2e-9 sample 17's x offset lies just past the snap below
+        # the lattice and its fraction snaps up to the next integer
+        assert circular_offsets(24, 2e-9)[17][0] == -1.0000000000000005e-9
+        assert _sample_plan("circular", 24, 2e-9)[17][:2] == (0, 0.0)
         rng = np.random.default_rng(2014)
-        for _ in range(300):
-            neighbors = int(rng.integers(2, 25))
-            radius = float(10 ** rng.uniform(-9, math.log10(3)))
+        drawn = (
+            (int(rng.integers(2, 25)), float(10 ** rng.uniform(-9, math.log10(3))))
+            for _ in range(300)
+        )
+        for neighbors, radius in itertools.chain(drawn, [(24, 2e-9)]):
             params = LbpParams(neighbors, radius, "circular", "raw")
             side = 2 * params.origin_offset + 5
             img = random_image(rng, side, side, low=0, high=3)
