@@ -46,6 +46,14 @@ def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=No
         return (regions * weights).sum(axis=1)
 
 
+def _check_metric(metric: str, weights) -> None:
+    """Raise ParameterError unless `metric` is known and, for wchi2, `weights` are given."""
+    if metric not in METRICS:
+        raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    if metric == "wchi2" and weights is None:
+        raise ParameterError("wchi2 requires region weights")
+
+
 def distance(a, b, metric: str = "chi2", weights=None) -> float:
     """Distance between two descriptor value vectors.
 
@@ -59,11 +67,8 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if len(a) != len(b):
         raise ParameterError(f"descriptor lengths differ: {len(a)} vs {len(b)}")
-    if metric not in METRICS:
-        raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    _check_metric(metric, weights)
     if metric == "wchi2":
-        if weights is None:
-            raise ParameterError("wchi2 requires per-region weights")
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if len(weights) == 0 or len(a) % len(weights) != 0:
             raise ParameterError(
@@ -182,14 +187,6 @@ def build_templates(samples, region_weights=None) -> Model:
     return replace(model, templates=means)
 
 
-def _check_metric(metric: str, weights) -> None:
-    """Raise ParameterError unless `metric` is known and, for wchi2, `weights` are given."""
-    if metric not in METRICS:
-        raise ParameterError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if metric == "wchi2" and weights is None:
-        raise ParameterError("wchi2 requires a model with region weights")
-
-
 def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[str, np.ndarray]:
     """Nearest-template class of `query` plus per-class distances in model order.
 
@@ -210,12 +207,12 @@ def serialize_model(model: Model) -> str:
         "params": model.params.to_json_dict(),
         "grid": [model.grid_rows, model.grid_cols],
         "classes": [
-            {"label": label, "template": [float(v) for v in model.templates[i]]}
-            for i, label in enumerate(model.class_labels)
+            {"label": label, "template": template}
+            for label, template in zip(model.class_labels, model.templates.tolist())
         ],
     }
     if model.region_weights is not None:
-        doc["weights"] = [float(w) for w in model.region_weights]
+        doc["weights"] = model.region_weights.tolist()
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .classify import METRICS, load_model, predict, serialize_model
+from .classify import METRICS, _check_metric, load_model, predict, serialize_model
 from .descriptor import describe_image
 from .detect import _lattice_suppress, _scan
 from .errors import LbpxError, ParameterError
@@ -77,12 +78,21 @@ def _params_from_args(args) -> LbpParams:
     )
 
 
+def _opened(output: str | None):
+    """The file `output` opened for writing, or stdout, left open, when it is None."""
+    return nullcontext(sys.stdout) if output is None else open_file(output, "w")
+
+
 def _emit_text(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open_file(output, "w") as fh:
-            fh.write(text)
+    with _opened(output) as fh:
+        fh.write(text)
+
+
+def _emit_json(doc, output: str | None) -> None:
+    # json.dump writes the bytes of json.dumps(doc, indent=2) without building that string
+    with _opened(output) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _map_flags(p: argparse.ArgumentParser) -> None:
@@ -109,7 +119,8 @@ def _cmd_describe(args) -> int:
     params = _params_from_args(args)
     rows, cols = _parse_pair(args.grid, "grid")
     desc = describe_image(load_pgm_file(args.input), params, rows, cols)
-    _emit_text(json.dumps(desc.to_json_dict(), indent=2) + "\n", args.output)
+    doc = {"grid": [rows, cols], "params": params.to_json_dict(), "bins": desc.values.tolist()}
+    _emit_json(doc, args.output)
     return 0
 
 
@@ -137,6 +148,7 @@ def _classify_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_classify(args) -> int:
     model = load_model(args.model)
+    _check_metric(args.metric, model.region_weights)
     desc = describe_image(
         load_pgm_file(args.input), model.params, model.grid_rows, model.grid_cols
     )
@@ -163,7 +175,15 @@ def _cmd_evaluate(args) -> int:
     report = evaluate(
         manifest, params, rows, cols, metric=args.metric, base_dir=Path(args.manifest).parent
     )
-    _emit_text(json.dumps(report.to_json_dict(), indent=2) + "\n", args.output)
+    doc = {
+        "accuracy": report.accuracy,
+        "n_test": report.n_test,
+        "classes": list(report.class_labels),
+        "confusion": report.confusion.tolist(),
+        "fps": report.fps,
+        "config": {**params.to_json_dict(), "grid": [rows, cols], "metric": args.metric},
+    }
+    _emit_json(doc, args.output)
     return 0
 
 

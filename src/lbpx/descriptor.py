@@ -33,13 +33,6 @@ class GridDescriptor:
 
     __eq__ = fields_equal
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": [self.grid_rows, self.grid_cols],
-            "params": self.params.to_json_dict(),
-            "bins": [float(v) for v in self.values],
-        }
-
 
 def _cell_edges(extent: int, cells: int) -> list[tuple[int, int]]:
     # floor-sized cells; the last one absorbs the remainder

@@ -79,15 +79,11 @@ def load_manifest_file(path) -> Manifest:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Accuracy, confusion counts, and the configuration that produced them."""
+    """Accuracy and confusion counts of one evaluation; its caller keeps the configuration."""
 
     accuracy: float
     class_labels: tuple[str, ...]
     confusion: np.ndarray
-    params: LbpParams
-    grid_rows: int
-    grid_cols: int
-    metric: str
     fps: float | None = None
 
     def __post_init__(self):
@@ -98,20 +94,6 @@ class EvalReport:
     @property
     def n_test(self) -> int:
         return int(self.confusion.sum())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "n_test": self.n_test,
-            "classes": list(self.class_labels),
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-            "fps": self.fps,
-            "config": {
-                **self.params.to_json_dict(),
-                "grid": [self.grid_rows, self.grid_cols],
-                "metric": self.metric,
-            },
-        }
 
 
 def _describe_entry(entry: ManifestEntry, params: LbpParams, rows: int, cols: int, base_dir):
@@ -169,15 +151,7 @@ def evaluate(
         predicted, _ = predict(model, desc, metric)
         confusion[index[entry.label], index[predicted]] += 1
     accuracy = float(np.trace(confusion)) / len(test)
-    return EvalReport(
-        accuracy=accuracy,
-        class_labels=model.class_labels,
-        confusion=confusion,
-        params=params,
-        grid_rows=grid_rows,
-        grid_cols=grid_cols,
-        metric=metric,
-    )
+    return EvalReport(accuracy=accuracy, class_labels=model.class_labels, confusion=confusion)
 
 
 @dataclass(frozen=True)

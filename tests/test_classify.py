@@ -261,6 +261,18 @@ class TestPredict:
         with pytest.raises(ParameterError):
             predict(model, make_descriptor([1.0, 0.0]), "wchi2")
 
+    def test_distance_and_predict_word_missing_weights_alike(self):
+        query = make_descriptor([1.0, 0.0])
+        messages = []
+        for call in (
+            lambda: distance(query.values, query.values, "wchi2"),
+            lambda: predict(self.make_model(), query, "wchi2"),
+        ):
+            with pytest.raises(ParameterError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["wchi2 requires region weights"] * 2
+
     def test_huge_weights_give_infinite_wchi2_distance(self):
         # a region's weighted chi2 overflows to inf, never NaN, and the tie
         # goes to the smallest label

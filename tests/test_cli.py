@@ -2,10 +2,12 @@
 
 import argparse
 import ast
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +216,11 @@ class TestDescribeCommand:
         assert run_cli(["describe", "--input", str(sample_image)]) == 0
         doc = json.loads(capsys.readouterr().out)
         expected = grid_descriptor(lbp_map(load_pgm_file(sample_image), LbpParams()), 3, 3)
-        assert doc == expected.to_json_dict()
+        assert doc == {
+            "grid": [expected.grid_rows, expected.grid_cols],
+            "params": expected.params.to_json_dict(),
+            "bins": expected.values.tolist(),
+        }
 
     def test_output_file_written(self, tmp_path, sample_image):
         out = tmp_path / "desc.json"
@@ -246,11 +252,31 @@ class TestDescribeCommand:
             ("p16r2_u2_3x3", ["--sampling", "circular", "--neighbors", "16", "--radius", "2"]),
         ],
     )
-    def test_output_matches_golden(self, tag, flags, capsys):
+    def test_output_matches_golden(self, tag, flags, tmp_path, capsys):
         # written by the lbp_map -> grid_descriptor chain; the square3x3 cases
         # fold code counts through the table, P16 gathers labels first
-        assert run_cli(["describe", "--input", str(GOLDEN / "detect_scene.pgm")] + flags) == 0
-        assert capsys.readouterr().out == (GOLDEN / f"describe_{tag}.json").read_text()
+        golden = GOLDEN / f"describe_{tag}.json"
+        argv = ["describe", "--input", str(GOLDEN / "detect_scene.pgm")] + flags
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == golden.read_text()
+        assert run_cli(argv + ["--output", str(tmp_path / "desc.json")]) == 0
+        assert (tmp_path / "desc.json").read_bytes() == golden.read_bytes()
+
+    def test_output_file_peak_memory_per_value(self, tmp_path, rng):
+        # 9 cells x 2^14 raw labels = 147,456 values; a list of floats plus the
+        # whole document as one string costs about 117 B per value
+        path = tmp_path / "image.pgm"
+        save_pgm_file(GrayImage(rng.integers(0, 256, (64, 64), dtype=np.uint8)), path)
+        argv = ["describe", "--input", str(path), "--output", str(tmp_path / "desc.json"),
+                "--sampling", "circular", "--neighbors", "14", "--radius", "3",
+                "--mapping", "raw"]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (9 * 2**14) < 64
 
     @pytest.mark.parametrize(
         "data, message",
@@ -418,6 +444,15 @@ class TestClassifyCommand:
         )
         assert code == 1
 
+    def test_wchi2_exits_1_before_reading_the_image(self, tmp_path, capsys):
+        # the golden model has no region weights; the image does not exist
+        model = GOLDEN / "train_u2.json"
+        argv = ["classify", "--model", str(model), "--input", str(tmp_path / "ghost.pgm")]
+        capsys.readouterr()
+        assert run_cli(argv + ["--metric", "wchi2"]) == 1
+        assert capsys.readouterr().err == "lbpx: wchi2 requires region weights\n"
+        assert run_cli(argv) == 2
+
 
     @pytest.mark.parametrize(
         "field, value",
@@ -504,7 +539,14 @@ class TestEvaluateCommand:
         assert run_cli(["evaluate", "--manifest", str(manifest)]) == 0
         doc = json.loads(capsys.readouterr().out)
         expected = evaluate(load_manifest_file(manifest), LbpParams(), base_dir=base)
-        assert doc == expected.to_json_dict()
+        assert doc == {
+            "accuracy": expected.accuracy,
+            "n_test": expected.n_test,
+            "classes": list(expected.class_labels),
+            "confusion": expected.confusion.tolist(),
+            "fps": expected.fps,
+            "config": {**LbpParams().to_json_dict(), "grid": [3, 3], "metric": "chi2"},
+        }
         assert doc["accuracy"] == 1.0
 
     def test_report_written_to_file(self, corpus, tmp_path_factory):
@@ -513,6 +555,8 @@ class TestEvaluateCommand:
         assert run_cli(["evaluate", "--manifest", str(manifest), "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert list(doc) == ["accuracy", "n_test", "classes", "confusion", "fps", "config"]
+        assert doc["config"]["grid"] == [3, 3]
+        assert doc["fps"] is None
 
     def test_unseen_test_label_exits_3(self, tmp_path, rng, capsys):
         save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")
@@ -531,7 +575,7 @@ class TestEvaluateCommand:
         )
         capsys.readouterr()
         assert run_cli(["evaluate", "--manifest", str(manifest), "--metric", "wchi2"]) == 1
-        assert capsys.readouterr().err == "lbpx: wchi2 requires a model with region weights\n"
+        assert capsys.readouterr().err == "lbpx: wchi2 requires region weights\n"
 
 
 class TestDetectCommand:
@@ -733,13 +777,13 @@ class TestClassificationGoldens:
 
     @pytest.mark.parametrize("metric", ["chi2", "intersect", "l1"])
     @pytest.mark.parametrize("tag", ["u2", "riu2"])
-    def test_evaluate_matches_golden(self, tag, metric, capsys):
-        out = self.output(
-            ["evaluate", "--manifest", str(self.CORPUS / "manifest.csv"), "--metric", metric]
-            + self.FLAGS[tag],
-            capsys,
-        )
-        assert out == (GOLDEN / f"evaluate_{tag}_{metric}.json").read_text()
+    def test_evaluate_matches_golden(self, tag, metric, tmp_path, capsys):
+        golden = GOLDEN / f"evaluate_{tag}_{metric}.json"
+        argv = ["evaluate", "--manifest", str(self.CORPUS / "manifest.csv"), "--metric", metric]
+        argv += self.FLAGS[tag]
+        assert self.output(argv, capsys) == golden.read_text()
+        self.output(argv + ["--output", str(tmp_path / "report.json")], capsys)
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("metric", ["chi2", "wchi2", "intersect", "l1"])
     @pytest.mark.parametrize("tag", ["u2", "riu2"])
@@ -1091,3 +1135,28 @@ def test_public_names_are_pinned():
         "region_sum", "save_model", "save_pgm", "save_pgm_file", "scan_detect",
         "serialize_model", "train_model", "uniformity",
     ]
+
+
+def test_dataclass_fields_are_pinned():
+    # the settable fields of the exported records, 35 in all
+    fields = {
+        name: [field.name for field in dataclasses.fields(getattr(lbpx, name))]
+        for name in sorted(lbpx.__all__)
+        if dataclasses.is_dataclass(getattr(lbpx, name))
+    }
+    assert fields == {
+        "BenchmarkResult": ["fps", "ms_per_frame"],
+        "Detection": ["x", "y", "width", "height", "score"],
+        "EvalReport": ["accuracy", "class_labels", "confusion", "fps"],
+        "GrayImage": ["pixels"],
+        "GridDescriptor": ["grid_rows", "grid_cols", "params", "values"],
+        "IntegralImage": ["sums"],
+        "LbpMap": ["params", "labels"],
+        "LbpParams": ["neighbors", "radius", "sampling", "mapping"],
+        "Manifest": ["entries"],
+        "ManifestEntry": ["path", "label", "split"],
+        "MappingTable": ["table", "label_count"],
+        "Model": ["params", "grid_rows", "grid_cols", "class_labels", "templates",
+                  "region_weights"],
+    }
+    assert sum(map(len, fields.values())) == 35

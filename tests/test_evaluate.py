@@ -128,21 +128,6 @@ class TestEvaluate:
         report = evaluate(load_manifest_file(manifest_path), LbpParams(), base_dir=tmp_path)
         assert report.accuracy == np.trace(report.confusion) / report.n_test
 
-    def test_report_carries_configuration(self, tmp_path, rng):
-        manifest_path = write_texture_corpus(tmp_path, rng, 2, 2, size=32)
-        params = LbpParams(mapping="riu2")
-        report = evaluate(
-            load_manifest_file(manifest_path),
-            params,
-            grid_rows=2,
-            grid_cols=2,
-            metric="l1",
-            base_dir=tmp_path,
-        )
-        assert report.params == params
-        assert (report.grid_rows, report.grid_cols) == (2, 2)
-        assert report.metric == "l1"
-
     def test_no_test_entries_raises(self, tmp_path, rng):
         save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")
         manifest = load_manifest("path,label,split\na.pgm,flat,train\n")
@@ -163,21 +148,8 @@ class TestEvaluate:
             accuracy=0.75,
             class_labels=("a", "b"),
             confusion=[[2, 1], [0, 1]],
-            params=LbpParams(),
-            grid_rows=1,
-            grid_cols=1,
-            metric="chi2",
         )
         assert report.n_test == report.confusion.sum() == 4
-        assert report.to_json_dict()["n_test"] == 4
-
-    def test_report_json_layout(self, tmp_path, rng):
-        manifest_path = write_texture_corpus(tmp_path, rng, 2, 2, size=32)
-        report = evaluate(load_manifest_file(manifest_path), LbpParams(), base_dir=tmp_path)
-        doc = report.to_json_dict()
-        assert list(doc) == ["accuracy", "n_test", "classes", "confusion", "fps", "config"]
-        assert doc["config"]["grid"] == [3, 3]
-        assert doc["fps"] is None
 
 
 class TestBenchmarkFps:

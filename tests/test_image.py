@@ -192,10 +192,6 @@ class TestFrozenArrays:
                     accuracy=1.0,
                     class_labels=("x", "y"),
                     confusion=a.astype(np.int64),
-                    params=LbpParams(),
-                    grid_rows=1,
-                    grid_cols=1,
-                    metric="chi2",
                 ),
                 "confusion",
             ),
