@@ -555,8 +555,6 @@ class TestEvaluateCommand:
         assert run_cli(["evaluate", "--manifest", str(manifest), "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert list(doc) == ["accuracy", "n_test", "classes", "confusion", "fps", "config"]
-        assert doc["config"]["grid"] == [3, 3]
-        assert doc["fps"] is None
 
     def test_unseen_test_label_exits_3(self, tmp_path, rng, capsys):
         save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")

@@ -1,5 +1,7 @@
 """Manifest parsing, train/test evaluation, and benchmark tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from lbpx import (
     save_pgm_file,
     train_model,
 )
+from lbpx.cli import run_cli
 
 from conftest import TEXTURE_KINDS, random_image, texture_image, write_texture_corpus
 
@@ -150,6 +153,15 @@ class TestEvaluate:
             confusion=[[2, 1], [0, 1]],
         )
         assert report.n_test == report.confusion.sum() == 4
+
+    def test_report_json_layout(self, tmp_path, rng, capsys):
+        # the report document is built by the evaluate command
+        manifest_path = write_texture_corpus(tmp_path, rng, 2, 2, size=32)
+        assert run_cli(["evaluate", "--manifest", str(manifest_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["accuracy", "n_test", "classes", "confusion", "fps", "config"]
+        assert doc["config"]["grid"] == [3, 3]
+        assert doc["fps"] is None
 
 
 class TestBenchmarkFps:
