@@ -104,8 +104,9 @@ class IntegralImage:
         return self.sums.shape[0]
 
 
+_COMMENT = re.compile(rb"#[^\n]*\n?")
 # separators (whitespace, '#' comments to end of line or data), then one token
-_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*\n?)*([^ \t\n\r\x0b\x0c#]*)")
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|" + _COMMENT.pattern + rb")*([^ \t\n\r\x0b\x0c#]*)")
 
 
 class _PgmScanner:
@@ -165,23 +166,24 @@ def load_pgm(data: bytes) -> GrayImage:
         # a byte never exceeds maxval 255, so only a lower maxval needs the scan
         peak = values.max() if maxval < 255 else 0
     else:
-        values = []
-        for _ in range(count):
-            try:
-                token = scanner.next_token("pixel value")
-            except PgmFormatError:
-                raise PgmFormatError(
-                    f"truncated pixel payload: expected {count} values, got {len(values)}"
-                ) from None
-            if not token.isdigit():
-                raise PgmFormatError(f"malformed pixel value {token!r}")
-            try:
-                values.append(int(token))
-            except ValueError:  # more digits than int() will read: far above maxval
-                values.append(maxval + 1)
-        if _TOKEN.match(data, scanner.pos)[1]:
+        # a '#' anywhere starts a comment, so a space in its place keeps every
+        # token; stripped, since fromstring reads blank text as one 0
+        payload = _COMMENT.sub(b" ", data[scanner.pos :]).strip()
+        if payload.translate(None, _WHITESPACE + b"0123456789"):
+            tokens = payload.split()
+            bad = next(i for i, token in enumerate(tokens) if not token.isdigit())
+            if bad >= count:
+                raise PgmFormatError("trailing data after pixel payload")
+            raise PgmFormatError(f"malformed pixel value {tokens[bad]!r}")
+        # digits and whitespace only; a value past int64 saturates, above maxval
+        values = np.fromstring(payload, dtype=np.int64, sep=" ")
+        if len(values) < count:
+            raise PgmFormatError(
+                f"truncated pixel payload: expected {count} values, got {len(values)}"
+            )
+        if len(values) > count:
             raise PgmFormatError("trailing data after pixel payload")
-        peak = max(values)
+        peak = values.max()
 
     if peak > maxval:
         raise PgmFormatError("pixel value outside [0, maxval]")

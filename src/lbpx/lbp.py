@@ -308,7 +308,9 @@ def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
 
 
 def lbp_map_to_image(lmap: LbpMap) -> GrayImage:
-    """Render a raw 8-neighbor map as a grayscale image for inspection."""
-    if lmap.params.mapping != "raw" or lmap.params.neighbors != 8:
-        raise ParameterError("map export requires raw mapping with 8 neighbors")
+    """Render a map whose labels fit in a byte (at most 256) as a grayscale image."""
+    if lmap.params.label_count > 256:
+        raise ParameterError(
+            f"map export needs at most 256 labels, got {lmap.params.label_count}"
+        )
     return GrayImage(lmap.labels.astype(np.uint8))

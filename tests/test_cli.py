@@ -188,11 +188,27 @@ class TestMapCommand:
         expected = lbp_map_to_image(lbp_map(load_pgm_file(sample_image), LbpParams(mapping="raw")))
         assert out.read_bytes() == save_pgm(expected)
 
+    def test_raw_map_matches_golden(self, tmp_path):
+        # written when map export took only raw mapping with 8 neighbors
+        out = tmp_path / "out.pgm"
+        argv = ["map", "--input", str(GOLDEN / "detect_scene.pgm"), "--output", str(out),
+                "--mapping", "raw"]
+        assert run_cli(argv) == 0
+        assert out.read_bytes() == (GOLDEN / "map_raw_p8.pgm").read_bytes()
+
+    def test_default_flags_write_u2_labels(self, tmp_path, sample_image):
+        out = tmp_path / "out.pgm"
+        assert run_cli(["map", "--input", str(sample_image), "--output", str(out)]) == 0
+        expected = lbp_map(load_pgm_file(sample_image), LbpParams()).labels
+        assert np.array_equal(load_pgm_file(out).pixels, expected)
+
     def test_mapped_labels_cannot_be_exported_as_pgm(self, tmp_path, sample_image, capsys):
         out = tmp_path / "out.pgm"
-        code = run_cli(["map", "--input", str(sample_image), "--output", str(out)])
+        code = run_cli(["map", "--input", str(sample_image), "--output", str(out),
+                        "--sampling", "circular", "--neighbors", "12", "--mapping", "ri"])
         assert code == 1
-        assert "raw" in capsys.readouterr().err
+        assert capsys.readouterr().err == "lbpx: map export needs at most 256 labels, got 352\n"
+        assert not out.exists()
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli(

@@ -1,5 +1,7 @@
 """Raster type, PGM parsing, integral image tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from lbpx import (
     save_pgm_file,
 )
 
-from lbpx.image import _PgmScanner
+from lbpx.image import _TOKEN, _PgmScanner
 
 from conftest import random_image
 
@@ -127,6 +129,97 @@ def test_fuzzed_pgm_scans_like_the_oracle_and_loads_or_raises():
         except PgmFormatError:
             continue
         assert isinstance(img, GrayImage), data
+
+
+# `load_pgm`'s P2 payload loop from before the payload was read in
+# whole-payload passes, kept verbatim below the header it follows as the oracle
+# for pixels and error texts. It calls a value with more digits than int()
+# reads "outside [0, maxval]" even when leading zeros hide a small one.
+def _oracle_load_p2(data: bytes) -> list:
+    scanner = _PgmScanner(data)
+    scanner.next_token("magic number")
+    width = scanner.next_int("width")
+    height = scanner.next_int("height")
+    maxval = scanner.next_int("maxval")
+    count = width * height
+    values = []
+    for _ in range(count):
+        try:
+            token = scanner.next_token("pixel value")
+        except PgmFormatError:
+            raise PgmFormatError(
+                f"truncated pixel payload: expected {count} values, got {len(values)}"
+            ) from None
+        if not token.isdigit():
+            raise PgmFormatError(f"malformed pixel value {token!r}")
+        try:
+            values.append(int(token))
+        except ValueError:  # more digits than int() will read: far above maxval
+            values.append(maxval + 1)
+    if _TOKEN.match(data, scanner.pos)[1]:
+        raise PgmFormatError("trailing data after pixel payload")
+    peak = max(values)
+    if peak > maxval:
+        raise PgmFormatError("pixel value outside [0, maxval]")
+    return values
+
+
+# fragments of fuzzed P2 payloads: every whitespace byte and comments, which
+# may also follow a token directly ("5#") or end the data ("#")
+_P2_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#c\n", b"#x#y\n", b"#"]
+_P2_BAD_TOKENS = [b"+5", b"-1", b"1_0", b"3.0", b"\x00", b"\x1c", b"\xff", b"\xd9\xa3", b"7\xd9\xa3"]
+
+
+def _fuzz_p2_token(gen) -> bytes:
+    """A value 0-255, perhaps with leading zeros, a 4- to 20-digit number, or a
+    bad token."""
+    roll = gen.random()
+    if roll < 0.08:
+        return _P2_BAD_TOKENS[gen.integers(len(_P2_BAD_TOKENS))]
+    if roll < 0.16:
+        digits = int(gen.choice([4, 5, 19, 20]))
+        return bytes(gen.integers(ord("0"), ord("9") + 1, digits, dtype=np.uint8))
+    zeros = int(gen.integers(1, 30)) if gen.random() < 0.15 else 0
+    return b"0" * zeros + b"%d" % gen.integers(0, 256)
+
+
+def _fuzz_p2(gen) -> bytes:
+    """A valid P2 header, then count-2 to count+2 fuzzed tokens joined by 0-3
+    separators, with 0-3 trailing separators."""
+    width, height = int(gen.integers(1, 4)), int(gen.integers(1, 4))
+    count = width * height
+    parts = [b"P2 %d %d %d" % (width, height, gen.integers(1, 256))]
+    for i in range(max(0, count + int(gen.integers(-2, 3)))):
+        parts += [_P2_SEPARATORS[gen.integers(len(_P2_SEPARATORS))]
+                  for _ in range(gen.integers(0 if i else 1, 4))]
+        parts.append(_fuzz_p2_token(gen))
+    parts += [_P2_SEPARATORS[gen.integers(len(_P2_SEPARATORS))] for _ in range(gen.integers(0, 4))]
+    return b"".join(parts)
+
+
+def _load_pixels(data: bytes) -> np.ndarray:
+    return load_pgm(data).pixels
+
+
+def _p2_outcome(load, data: bytes):
+    """Pixels in row-major order, or the error text."""
+    try:
+        return np.ravel(load(data)).tolist()
+    except PgmFormatError as exc:
+        return str(exc)
+
+
+def test_fuzzed_p2_payload_loads_like_the_oracle():
+    kinds = ("truncated", "malformed", "trailing", "pixel value outside")
+    drawn = set()
+    gen = np.random.default_rng(20261020)
+    for _ in range(20000):
+        data = _fuzz_p2(gen)
+        expected = _p2_outcome(_oracle_load_p2, data)
+        assert _p2_outcome(_load_pixels, data) == expected, data
+        if isinstance(expected, str):
+            drawn.update(kind for kind in kinds if expected.startswith(kind))
+    assert drawn == set(kinds)
 
 
 class TestGrayImage:
@@ -308,6 +401,37 @@ class TestLoadPgm:
         # int() refuses more than 4300 digits by default; that must not escape
         with pytest.raises(PgmFormatError, match=message):
             load_pgm(data)
+
+    def test_leading_zeros_past_int_digit_limit_read_as_the_value(self):
+        assert load_pgm(b"P2 1 1 255 " + b"0" * 5000 + b"7").pixels.tolist() == [[7]]
+
+    @pytest.mark.parametrize(
+        "data, outcome",
+        [
+            # blank text reads as one 0 in numpy, so a blank payload must not
+            (b"P2 1 1 255", "truncated pixel payload: expected 1 values, got 0"),
+            (b"P2 1 1 255 \n\t ", "truncated pixel payload: expected 1 values, got 0"),
+            (b"P2 1 1 255 #\n \n", "truncated pixel payload: expected 1 values, got 0"),
+            # every whitespace byte separates values, and only those bytes do
+            (b"P2 7 1 255 1\t2\n3\r4\x0b5\x0c6 7", [1, 2, 3, 4, 5, 6, 7]),
+            (b"P2 2 1 255 1\x1c2", "malformed pixel value b'1\\x1c2'"),
+        ],
+    )
+    def test_ascii_payload_edges(self, data, outcome):
+        assert _p2_outcome(_load_pixels, data) == outcome
+
+    def test_ascii_payload_peak_memory_per_pixel(self, rng):
+        # a list of tokens would peak at about 126 B per pixel
+        pixels = rng.integers(0, 256, (512, 512))
+        data = b"P2 512 512 255\n" + " ".join(map(str, pixels.ravel().tolist())).encode()
+        tracemalloc.start()
+        try:
+            img = load_pgm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.pixels, pixels)
+        assert peak / pixels.size < 24
 
     @pytest.mark.parametrize("data", [b"P2\n2 1\n255\n5 abc\n", b"P2\n1 1\n255\n-5\n"])
     def test_rejects_malformed_ascii_value(self, data):

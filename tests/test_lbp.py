@@ -441,6 +441,7 @@ class TestLbpMapToImage:
         assert np.array_equal(out.pixels, lmap.labels.astype(np.uint8))
 
     def test_mapped_labels_cannot_be_exported(self, rng):
-        lmap = lbp_map(random_image(rng, 9, 9), LbpParams(mapping="u2"))
-        with pytest.raises(ParameterError):
+        params = LbpParams(neighbors=12, radius=1.5, sampling="circular", mapping="ri")
+        lmap = lbp_map(random_image(rng, 9, 9), params)
+        with pytest.raises(ParameterError, match="at most 256 labels, got 352"):
             lbp_map_to_image(lmap)
