@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -15,6 +16,9 @@ from .lbp import LbpParams
 METRICS = ("chi2", "wchi2", "intersect", "l1")
 
 MODEL_FORMAT_VERSION = 1
+
+# the one encoder of every JSON document lbpx writes; it lists each array as it reaches it
+_JSON = json.JSONEncoder(indent=2, default=np.ndarray.tolist)
 
 
 def _chi2_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,19 +205,31 @@ def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[
     return model.class_labels[winner], scores
 
 
-def serialize_model(model: Model) -> str:
+def _model_document(model: Model) -> dict:
+    """The model file's JSON document, holding the model's own arrays."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "params": model.params.to_json_dict(),
+        "params": asdict(model.params),
         "grid": [model.grid_rows, model.grid_cols],
         "classes": [
             {"label": label, "template": template}
-            for label, template in zip(model.class_labels, model.templates.tolist())
+            for label, template in zip(model.class_labels, model.templates)
         ],
     }
     if model.region_weights is not None:
-        doc["weights"] = model.region_weights.tolist()
-    return json.dumps(doc, indent=2) + "\n"
+        doc["weights"] = model.region_weights
+    return doc
+
+
+def _write_json(doc, fh) -> None:
+    chunks = _JSON.iterencode(doc)  # in batches: unbuffered, each write is a system call
+    while batch := list(islice(chunks, 8192)):
+        fh.write("".join(batch))
+    fh.write("\n")
+
+
+def serialize_model(model: Model) -> str:
+    return _JSON.encode(_model_document(model)) + "\n"
 
 
 def _json_typed(value, what: str, *kinds: type):
@@ -273,7 +289,7 @@ def deserialize_model(text: str) -> Model:
 
 def save_model(model: Model, path) -> None:
     with open_file(path, "w") as fh:
-        fh.write(serialize_model(model))
+        _write_json(_model_document(model), fh)
 
 
 def load_model(path) -> Model:

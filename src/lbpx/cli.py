@@ -12,9 +12,10 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
-from .classify import METRICS, _check_metric, load_model, predict, serialize_model
+from .classify import METRICS, _check_metric, _model_document, _write_json, load_model, predict
 from .descriptor import describe_image
 from .detect import _lattice_suppress, _scan
 from .errors import LbpxError, ParameterError
@@ -65,8 +66,8 @@ def _add_grid_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", default="3x3", help="descriptor grid ROWSxCOLS (default 3x3)")
 
 
-def _add_metric_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metric", choices=METRICS, default="chi2", help="distance (default chi2)")
+def _add_metric_flag(p: argparse.ArgumentParser, choices=METRICS) -> None:
+    p.add_argument("--metric", choices=choices, default="chi2", help="distance (default chi2)")
 
 
 def _params_from_args(args) -> LbpParams:
@@ -83,16 +84,9 @@ def _opened(output: str | None):
     return nullcontext(sys.stdout) if output is None else open_file(output, "w")
 
 
-def _emit_text(text: str, output: str | None) -> None:
-    with _opened(output) as fh:
-        fh.write(text)
-
-
 def _emit_json(doc, output: str | None) -> None:
-    # json.dump writes the bytes of json.dumps(doc, indent=2) without building that string
     with _opened(output) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        _write_json(doc, fh)
 
 
 def _map_flags(p: argparse.ArgumentParser) -> None:
@@ -119,7 +113,7 @@ def _cmd_describe(args) -> int:
     params = _params_from_args(args)
     rows, cols = _parse_pair(args.grid, "grid")
     desc = describe_image(load_pgm_file(args.input), params, rows, cols)
-    doc = {"grid": [rows, cols], "params": params.to_json_dict(), "bins": desc.values.tolist()}
+    doc = {"grid": [rows, cols], "params": asdict(params), "bins": desc.values}
     _emit_json(doc, args.output)
     return 0
 
@@ -136,7 +130,7 @@ def _cmd_train(args) -> int:
     rows, cols = _parse_pair(args.grid, "grid")
     manifest = load_manifest_file(args.manifest)
     model = train_model(manifest, params, rows, cols, base_dir=Path(args.manifest).parent)
-    _emit_text(serialize_model(model), args.output)
+    _emit_json(_model_document(model), args.output)
     return 0
 
 
@@ -165,7 +159,8 @@ def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="output report JSON path (default: stdout)")
     _add_params_flags(p)
     _add_grid_flag(p)
-    _add_metric_flag(p)
+    # the model evaluate trains has no region weights, so wchi2 could only fail
+    _add_metric_flag(p, [metric for metric in METRICS if metric != "wchi2"])
 
 
 def _cmd_evaluate(args) -> int:
@@ -178,10 +173,10 @@ def _cmd_evaluate(args) -> int:
     doc = {
         "accuracy": report.accuracy,
         "n_test": report.n_test,
-        "classes": list(report.class_labels),
-        "confusion": report.confusion.tolist(),
+        "classes": report.class_labels,
+        "confusion": report.confusion,
         "fps": report.fps,
-        "config": {**params.to_json_dict(), "grid": [rows, cols], "metric": args.metric},
+        "config": {**asdict(params), "grid": [rows, cols], "metric": args.metric},
     }
     _emit_json(doc, args.output)
     return 0
@@ -219,7 +214,8 @@ def _cmd_detect(args) -> int:
         f'{{"x":{j * stride},"y":{i * stride},"w":{win_w},"h":{win_h},"score":{score:.6f}}}'
         for j, i, score in zip(cols[keep].tolist(), rows[keep].tolist(), scores[keep].tolist())
     ]
-    _emit_text("".join(line + "\n" for line in lines), args.output)
+    with _opened(args.output) as fh:
+        fh.writelines(line + "\n" for line in lines)
     return 0
 
 
@@ -233,7 +229,7 @@ def _cmd_bench(args) -> int:
     params = _params_from_args(args)
     img = load_pgm_file(args.input)
     result = benchmark_fps(img, params, iterations=args.iterations)
-    config = json.dumps(params.to_json_dict())
+    config = json.dumps(asdict(params))
     sys.stdout.write(
         "{\n"
         f'  "fps": {result.fps:.6f},\n'

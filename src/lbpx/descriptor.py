@@ -10,6 +10,9 @@ from .errors import ParameterError
 from .image import GrayImage, fields_equal, frozen_array
 from .lbp import LbpMap, LbpParams, _coded
 
+# the most histogram bins (cells x values counted per cell) a descriptor may need
+_MAX_BINS = 2**24
+
 
 @dataclass(frozen=True, eq=False)
 class GridDescriptor:
@@ -77,6 +80,11 @@ def _describe(
     height, width = values.shape
     if grid_rows < 1 or grid_cols < 1:
         raise ParameterError(f"grid must be at least 1x1, got {grid_rows}x{grid_cols}")
+    bins = grid_rows * grid_cols * (params.label_count if table is None else len(table))
+    if bins > _MAX_BINS:
+        raise ParameterError(
+            f"grid {grid_rows}x{grid_cols} needs {bins:,} histogram bins, more than {_MAX_BINS:,}"
+        )
     if grid_rows > height or grid_cols > width:
         raise ParameterError(
             f"grid {grid_rows}x{grid_cols} exceeds map dimensions {width}x{height}"

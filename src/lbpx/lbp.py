@@ -65,14 +65,6 @@ class LbpParams:
     def label_count(self) -> int:
         return _mapping.label_count(self.mapping, self.neighbors)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "neighbors": self.neighbors,
-            "radius": self.radius,
-            "sampling": self.sampling,
-            "mapping": self.mapping,
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class LbpMap:

@@ -15,15 +15,19 @@ from lbpx import (
     ParameterError,
     TrainingError,
     build_templates,
+    describe_image,
     deserialize_model,
     distance,
     grid_descriptor,
     lbp_map,
     load_model,
+    load_pgm_file,
     predict,
     save_model,
     serialize_model,
 )
+
+from lbpx.classify import _JSON
 
 from conftest import TEXTURE_KINDS, texture_image
 
@@ -346,6 +350,30 @@ class TestModelSerialization:
     def test_serialization_is_deterministic(self):
         model = self.make_model()
         assert serialize_model(model) == serialize_model(model)
+
+    def test_weighted_model_matches_golden(self, tmp_path):
+        # written by json.dumps of a document of lists, before arrays reached the encoder;
+        # the train split of the golden corpus, circular P8 R1.5 riu2 on a 2x2 grid
+        params = LbpParams(neighbors=8, radius=1.5, sampling="circular", mapping="riu2")
+        corpus = GOLDEN / "corpus"
+        rows = [row.split(",") for row in (corpus / "manifest.csv").read_text().splitlines()[1:]]
+        samples = [
+            (label, describe_image(load_pgm_file(corpus / path), params, 2, 2))
+            for path, label, split in rows
+            if split == "train"
+        ]
+        model = build_templates(samples, region_weights=[0.5, 1.0, 2.0, 0.25])
+        golden = GOLDEN / "model_weighted.json"
+        assert serialize_model(model) == golden.read_text()
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == golden.read_bytes()
+
+    def test_the_encoder_lists_arrays_and_rejects_other_types(self):
+        doc = {"a": np.arange(3.0), "b": np.eye(2, dtype=np.int64)}
+        listed = {"a": [0.0, 1.0, 2.0], "b": [[1, 0], [0, 1]]}
+        assert _JSON.encode(doc) == json.dumps(listed, indent=2)
+        with pytest.raises(TypeError):
+            _JSON.encode({"a": np.float32(1.0)})
 
     def test_file_round_trip(self, tmp_path):
         model = self.make_model()

@@ -36,7 +36,7 @@ from lbpx import (
     save_pgm_file,
 )
 import lbpx
-from lbpx import cli
+from lbpx import cli, descriptor
 from lbpx.cli import run_cli
 
 from conftest import texture_image, write_texture_corpus
@@ -234,7 +234,7 @@ class TestDescribeCommand:
         expected = grid_descriptor(lbp_map(load_pgm_file(sample_image), LbpParams()), 3, 3)
         assert doc == {
             "grid": [expected.grid_rows, expected.grid_cols],
-            "params": expected.params.to_json_dict(),
+            "params": dataclasses.asdict(expected.params),
             "bins": expected.values.tolist(),
         }
 
@@ -293,6 +293,35 @@ class TestDescribeCommand:
         finally:
             tracemalloc.stop()
         assert peak / (9 * 2**14) < 64
+
+    def test_histogram_over_the_size_limit_exits_1_before_allocating(self, tmp_path, rng, capsys):
+        # 100x100 cells x 2^20 raw labels would be a count array of 78 GiB
+        path = tmp_path / "image.pgm"
+        save_pgm_file(GrayImage(rng.integers(0, 256, (256, 256), dtype=np.uint8)), path)
+        argv = ["describe", "--input", str(path), "--sampling", "circular", "--neighbors", "20",
+                "--radius", "3", "--mapping", "raw", "--grid", "100x100"]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "lbpx: grid 100x100 needs 10,485,760,000 histogram bins, more than 16,777,216\n"
+        )
+        assert peak < 2**24
+
+    def test_histogram_at_the_size_limit_still_works(self, sample_image, monkeypatch, capsys):
+        # the default operator counts 256 codes in each cell before it folds them into labels
+        argv = ["describe", "--input", str(sample_image)]
+        monkeypatch.setattr(descriptor, "_MAX_BINS", 9 * 256)
+        assert run_cli(argv) == 0
+        monkeypatch.setattr(descriptor, "_MAX_BINS", 9 * 256 - 1)
+        capsys.readouterr()
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "lbpx: grid 3x3 needs 2,304 histogram bins, more than 2,303\n"
+        )
 
     @pytest.mark.parametrize(
         "data, message",
@@ -367,6 +396,25 @@ class TestTrainCommand:
         assert run_cli(["train", "--manifest", str(manifest), "--output", str(out)]) == 0
         model = deserialize_model(out.read_text())
         assert model.grid_rows == 3 and model.grid_cols == 3
+
+    def test_output_file_peak_memory_per_value(self, tmp_path, rng):
+        # 2 classes x 9 cells x 2^14 raw labels = 294,912 model values; lists of
+        # floats plus the whole document as one string cost about 124 B per value
+        for name in ("a", "b"):
+            save_pgm_file(GrayImage(rng.integers(0, 256, (64, 64), dtype=np.uint8)),
+                          tmp_path / f"{name}.pgm")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\na.pgm,a,train\nb.pgm,b,train\n", encoding="utf-8")
+        argv = ["train", "--manifest", str(manifest), "--output", str(tmp_path / "model.json"),
+                "--sampling", "circular", "--neighbors", "14", "--radius", "3",
+                "--mapping", "raw"]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (2 * 9 * 2**14) < 64
 
     def test_paths_resolve_relative_to_manifest(self, corpus):
         # invoked from a different cwd, image paths still resolve
@@ -561,7 +609,7 @@ class TestEvaluateCommand:
             "classes": list(expected.class_labels),
             "confusion": expected.confusion.tolist(),
             "fps": expected.fps,
-            "config": {**LbpParams().to_json_dict(), "grid": [3, 3], "metric": "chi2"},
+            "config": {**dataclasses.asdict(LbpParams()), "grid": [3, 3], "metric": "chi2"},
         }
         assert doc["accuracy"] == 1.0
 
@@ -589,7 +637,9 @@ class TestEvaluateCommand:
         )
         capsys.readouterr()
         assert run_cli(["evaluate", "--manifest", str(manifest), "--metric", "wchi2"]) == 1
-        assert capsys.readouterr().err == "lbpx: wchi2 requires region weights\n"
+        assert capsys.readouterr().err.endswith(
+            "invalid choice: 'wchi2' (choose from 'chi2', 'intersect', 'l1')\n"
+        )
 
 
 class TestDetectCommand:
@@ -789,6 +839,13 @@ class TestClassificationGoldens:
         )
         assert out == (GOLDEN / f"train_{tag}.json").read_text()
 
+    @pytest.mark.parametrize("tag", ["u2", "riu2", "p16r2_u2", "p24r3_riu2"])
+    def test_train_output_file_matches_golden(self, tag, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        argv = ["train", "--manifest", str(self.CORPUS / "manifest.csv"), "--output", str(out)]
+        assert self.output(argv + self.FLAGS[tag], capsys) == ""
+        assert out.read_bytes() == (GOLDEN / f"train_{tag}.json").read_bytes()
+
     @pytest.mark.parametrize("metric", ["chi2", "intersect", "l1"])
     @pytest.mark.parametrize("tag", ["u2", "riu2"])
     def test_evaluate_matches_golden(self, tag, metric, tmp_path, capsys):
@@ -934,7 +991,9 @@ class TestFuzz:
         "--radius": ["-1", "0", "0.5", "1", "1.5", "2.5", "7", "1e308", "nan", "inf", "x"],
         "--sampling": ["square3x3", "circular"],
         "--mapping": ["raw", "u2", "ri", "riu2"],
-        "--grid": ["1x1", "2x3", "3x3", "0x3", "3", "axb", "-1x2", "1x2x3", "99x99", "9" * 30],
+        # 4096x4096 needs more than the 2^24 histogram bins allowed, at any operator
+        "--grid": ["1x1", "2x3", "3x3", "0x3", "3", "axb", "-1x2", "1x2x3", "99x99", "9" * 30,
+                   "4096x4096"],
         "--window": ["8x8", "12x6", "16x16", "1x1", "0x4", "4x", "99x99", "8X8", "9" * 30 + "x8"],
         "--stride": ["1", "3", "8", "0", "-2", "x", "9" * 30],
         "--threshold": ["inf", "-inf", "nan", "0", "0.5", "3", "1e400", "x"],
