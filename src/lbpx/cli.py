@@ -175,7 +175,8 @@ def _cmd_evaluate(args) -> int:
         "n_test": report.n_test,
         "classes": report.class_labels,
         "confusion": report.confusion,
-        "fps": report.fps,
+        # a wall-clock figure would make the report differ between runs
+        "fps": None,
         "config": {**asdict(params), "grid": [rows, cols], "metric": args.metric},
     }
     _emit_json(doc, args.output)

@@ -40,6 +40,31 @@ def iou(a: Detection, b: Detection) -> float:
     return inter / union
 
 
+def _box_sums(counts: np.ndarray, widths, axis: int) -> dict[int, np.ndarray]:
+    """Sums of `w` consecutive entries of `counts` along `axis`, for each w in `widths`.
+
+    Entry i of width w's image is the sum of entries i .. i + w - 1. A box
+    adds the power-of-two partial sums of w's set bits, highest first, and
+    widths share both those sums and any run of top bits they have in
+    common. Sums keep the dtype of `counts`, which must hold them all.
+    """
+    a = counts.swapaxes(0, axis)
+    n = len(a)
+    powers = [a]  # powers[k][i] sums entries i .. i + 2**k - 1
+    while 2 ** len(powers) <= max(widths):
+        half = 2 ** (len(powers) - 1)
+        powers.append(powers[-1][:-half] + powers[-1][half:])
+    sums = {}  # sums[u] for u each run of top bits of some width
+    for w in widths:
+        u = 0
+        for k in reversed(range(len(powers))):
+            if w >> k & 1 and u + 2**k not in sums:
+                piece = powers[k][u : n - 2**k + 1]
+                sums[u + 2**k] = sums[u][: len(piece)] + piece if u else piece
+            u += w & 2**k
+    return {w: sums[w].swapaxes(0, axis) for w in widths}
+
+
 def _chi2_scores(
     full: np.ndarray,
     templates: np.ndarray,
@@ -51,11 +76,13 @@ def _chi2_scores(
 
     Window (i, j) covers full[i*stride : i*stride + map_h, ...]. All cell
     corners lie on multiples of g = gcd(stride, cell edges) on each axis, so
-    counts come one label b at a time from a padded summed-area table of b's
-    count per g-by-g block, whose strided corner slices give a cell's count
-    at every position at once. The `_chi2_terms` of each possible count are
-    tabulated per cell. Memory stays O(H*W) whatever the bin count; only the
-    order in which terms are summed differs from the per-window computation.
+    counts come one label b at a time from b's count per g-by-g block: box
+    sums of those counts over each cell size, in the narrowest unsigned type
+    that holds a cell's area, give a cell's count at every block, and a
+    strided slice picks the window positions. The `_chi2_terms` of each
+    possible count are tabulated per cell. Memory stays O(H*W) whatever the
+    bin count; only the order in which terms are summed differs from the
+    per-window computation.
     """
     rows, cols, bins = templates.shape
     map_h, map_w = map_size
@@ -77,27 +104,29 @@ def _chi2_scores(
     labels = np.flatnonzero((counts > 0) | (templates != 0).any(axis=(0, 1)))
 
     areas = np.array([[(y1 - y0) * (x1 - x0) for x0, x1 in col_cells] for y0, y1 in row_cells])
+    # no box sum exceeds the area of some cell, so none wraps
+    count_type = np.min_scalar_type(areas.max())
+    heights = [(y1 - y0) // gy for y0, y1 in row_cells]
+    widths = [(x1 - x0) // gx for x0, x1 in col_cells]
     sy, sx = stride // gy, stride // gx
     span_y = (ny - 1) * sy + 1
     span_x = (nx - 1) * sx + 1
-    sat = np.zeros((by + 1, bx + 1), dtype=np.int32)
     scores = np.zeros((ny, nx))
     for b, end in zip(labels, np.cumsum(counts[labels])):
-        blocks = np.bincount(block[end - counts[b] : end], minlength=by * bx).reshape(by, bx)
-        np.cumsum(np.cumsum(blocks, axis=0, dtype=np.int32), axis=1, out=sat[1:, 1:])
-        # count of b in each column cell's strip, above every row of the table
-        strips = [
-            sat[:, x1 // gx : x1 // gx + span_x : sx] - sat[:, x0 // gx : x0 // gx + span_x : sx]
-            for x0, x1 in col_cells
-        ]
+        blocks = np.bincount(block[end - counts[b] : end], minlength=by * bx).astype(count_type)
+        strips = _box_sums(blocks.reshape(by, bx), widths, 1)
+        # boxes[w][h][y, x] counts b in the h-by-w blocks from block (y, x)
+        boxes = {w: _box_sums(strip, heights, 0) for w, strip in strips.items()}
         # table[r, c, h] is the term of a cell (r, c) holding h pixels of b;
         # h <= min(cell area, counts[b]), so longer rows are never read
         k = np.arange(min(areas.max(), counts[b]) + 1) / areas[:, :, None]
         table = _chi2_terms(k, templates[:, :, b, None])
-        for r, (y0, y1) in enumerate(row_cells):
-            top, bottom = y0 // gy, y1 // gy
-            for c, strip in enumerate(strips):
-                h = strip[bottom : bottom + span_y : sy] - strip[top : top + span_y : sy]
+        for r, (y0, _) in enumerate(row_cells):
+            top = y0 // gy
+            for c, (x0, _) in enumerate(col_cells):
+                left = x0 // gx
+                box = boxes[widths[c]][heights[r]]
+                h = box[top : top + span_y : sy, left : left + span_x : sx]
                 scores += table[r, c].take(h)
     return scores
 

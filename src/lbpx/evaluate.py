@@ -84,7 +84,6 @@ class EvalReport:
     accuracy: float
     class_labels: tuple[str, ...]
     confusion: np.ndarray
-    fps: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "confusion", frozen_array(self.confusion, np.int64))

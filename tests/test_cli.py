@@ -608,7 +608,7 @@ class TestEvaluateCommand:
             "n_test": expected.n_test,
             "classes": list(expected.class_labels),
             "confusion": expected.confusion.tolist(),
-            "fps": expected.fps,
+            "fps": None,
             "config": {**dataclasses.asdict(LbpParams()), "grid": [3, 3], "metric": "chi2"},
         }
         assert doc["accuracy"] == 1.0
@@ -737,23 +737,32 @@ class TestDetectCommand:
         assert captured.out == ""
         assert captured.err == "lbpx: iou threshold must lie in [0, 1], got 1.5\n"
 
+    DETECT_GOLDENS = [
+        ("u2", "24x24", 8, "0.3"), ("u2", "24x24", 4, "0.3"), ("u2", "24x24", 1, "0.3"),
+        ("riu2", "28x20", 3, "0.3"), ("p16r2_riu2", "24x24", 2, "0.3"),
+        ("u2_2x2", "64x64", 3, "1"),
+    ]
+
     @pytest.mark.parametrize(
-        "mapping, window, stride",
-        [("u2", "24x24", 8), ("u2", "24x24", 4), ("u2", "24x24", 1), ("riu2", "28x20", 3),
-         ("p16r2_riu2", "24x24", 2)],
+        "tag, window, stride, nms_iou",
+        DETECT_GOLDENS,
+        ids=[f"{tag}-{window}-{stride}" for tag, window, stride, _ in DETECT_GOLDENS],
     )
-    def test_output_matches_golden(self, mapping, window, stride, capsys):
+    def test_output_matches_golden(self, tag, window, stride, nms_iou, capsys):
         # goldens were written by the per-window scan (one histogram and one
         # distance call per window) and its list-based NMS; the circular P16 R2
-        # riu2 one when its labels were still gathered from the 2^16-entry table
+        # riu2 one when its labels were still gathered from the 2^16-entry table.
+        # The u2_2x2 model was trained on detect_scene.pgm[8:72, 20:84]; its
+        # 31x31 cells hold 961 pixels, more than a uint8 count holds, and all
+        # 66 windows print, with 66 distinct scores, by the summed-area scan
         capsys.readouterr()
         code = run_cli(
             ["detect", "--scene", str(GOLDEN / "detect_scene.pgm"),
-             "--model", str(GOLDEN / f"detect_model_{mapping}.json"),
-             "--window", window, "--stride", str(stride)]
+             "--model", str(GOLDEN / f"detect_model_{tag}.json"),
+             "--window", window, "--stride", str(stride), "--nms-iou", nms_iou]
         )
         assert code == 0
-        expected = (GOLDEN / f"detect_{mapping}_{window}_s{stride}.jsonl").read_text()
+        expected = (GOLDEN / f"detect_{tag}_{window}_s{stride}.jsonl").read_text()
         assert capsys.readouterr().out == expected
 
     def test_huge_stride_prints_the_one_window(self, detection_setup, capsys):
@@ -1211,7 +1220,7 @@ def test_public_names_are_pinned():
 
 
 def test_dataclass_fields_are_pinned():
-    # the settable fields of the exported records, 35 in all
+    # the settable fields of the exported records, 34 in all
     fields = {
         name: [field.name for field in dataclasses.fields(getattr(lbpx, name))]
         for name in sorted(lbpx.__all__)
@@ -1220,7 +1229,7 @@ def test_dataclass_fields_are_pinned():
     assert fields == {
         "BenchmarkResult": ["fps", "ms_per_frame"],
         "Detection": ["x", "y", "width", "height", "score"],
-        "EvalReport": ["accuracy", "class_labels", "confusion", "fps"],
+        "EvalReport": ["accuracy", "class_labels", "confusion"],
         "GrayImage": ["pixels"],
         "GridDescriptor": ["grid_rows", "grid_cols", "params", "values"],
         "IntegralImage": ["sums"],
@@ -1232,4 +1241,4 @@ def test_dataclass_fields_are_pinned():
         "Model": ["params", "grid_rows", "grid_cols", "class_labels", "templates",
                   "region_weights"],
     }
-    assert sum(map(len, fields.values())) == 35
+    assert sum(map(len, fields.values())) == 34

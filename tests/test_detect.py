@@ -23,7 +23,7 @@ from lbpx import (
     scan_detect,
 )
 from lbpx.descriptor import _cell_edges, grid_values
-from lbpx.detect import _lattice_suppress, _suppress
+from lbpx.detect import _box_sums, _chi2_scores, _lattice_suppress, _suppress
 
 from conftest import random_image, texture_image
 
@@ -357,6 +357,22 @@ class TestScanDetect:
         assert peak < 16 * 2**20
         assert [d.score for d in hits] == [scan_scores_oracle(scene, model, (320, 240), 1)[0, 0]]
 
+    def test_stride_1_raw_scores_peak_under_40_bytes_per_scene_pixel(self, rng):
+        # one int32 summed-area table per label, and its strips and corner
+        # differences, peaked at 53 B per scene pixel
+        params = LbpParams(mapping="raw")
+        full = lbp_map(random_image(rng, 320, 240), params).labels
+        model = build_templates(
+            [("t", grid_descriptor(lbp_map(random_image(rng, 32, 32), params)))]
+        )
+        tracemalloc.start()
+        try:
+            _chi2_scores(full, model.templates[0].reshape(3, 3, -1), (30, 30), (209, 289), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (320 * 240) < 40
+
     def test_detect_then_nms_pipeline(self, rng):
         scene_px = rng.integers(100, 140, size=(48, 48), dtype=np.int64)
         patch = checker_patch(16)
@@ -412,8 +428,56 @@ class TestScanMatchesPerWindowOracle:
             assert [(d.x, d.y) for d in got] == [(d.x, d.y) for d in want]
 
 
+class TestBoxSums:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_slice_sums_for_every_width(self, dtype, axis, rng):
+        # 17 entries along the axis, each at most max / 17, so that the first
+        # line's full-length sum reaches the dtype's maximum exactly
+        top = np.iinfo(dtype).max // 17
+        counts = rng.integers(0, top + 1, (17, 6) if axis == 0 else (6, 17)).astype(dtype)
+        counts.swapaxes(0, axis)[:, 0] = top
+        widths = range(1, 18)
+        together = _box_sums(counts, widths, axis)
+        assert together[17].max() == np.iinfo(dtype).max
+        for w in widths:
+            want = np.stack(
+                [counts.take(range(i, i + w), axis=axis).sum(axis=axis) for i in range(18 - w)],
+                axis=axis,
+            )
+            for got in (together[w], _box_sums(counts, [w], axis)[w]):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want), w
+
+
 class TestScoresMatchSummedAreaOracle:
-    """Block tables and tabulated terms give the per-pixel scan's scores bit for bit."""
+    """Box sums of block counts and tabulated terms give the per-pixel scan's
+    scores bit for bit, whatever count type the cell areas call for."""
+
+    @pytest.mark.parametrize(
+        "shape, grid, map_size, strides, zeros",
+        [
+            # one 257x256 cell counts in uint32, and label 0 fills more than
+            # 65,535 of its pixels
+            ((260, 259), (1, 1), (257, 256), (1,), 0.999),
+            # 20x16 and 20x18 cells count in uint16, mostly of label 0
+            ((46, 62), (2, 3), (40, 50), (1, 2, 5), 0.9),
+            # one row of windows: a 54x54 map on a 4x4 grid has cells 13, 13,
+            # 13 and 15 pixels wide, whose box sums share their top bits 8 + 4
+            ((54, 80), (4, 4), (54, 54), (1, 3, 4), 0.0),
+        ],
+        ids=["uint32-cells", "uint16-cells", "one-row-remainder-cells"],
+    )
+    def test_count_type_edges(self, shape, grid, map_size, strides, zeros, rng):
+        full = np.where(rng.random(shape) < zeros, 0, rng.integers(1, 10, shape))
+        templates = rng.random((*grid, 11))  # label 10 is in the template only
+        templates[..., ::3] = 0
+        templates /= templates.sum(axis=2, keepdims=True)
+        for stride in strides:
+            positions = tuple((n - m) // stride + 1 for n, m in zip(shape, map_size))
+            want = chi2_scores_oracle(full, templates, map_size, positions, stride)
+            got = _chi2_scores(full, templates, map_size, positions, stride)
+            assert np.array_equal(got, want), stride
 
     @pytest.mark.parametrize(
         "params", SCAN_CONFIGS, ids=[f"{p.sampling}-{p.mapping}" for p in SCAN_CONFIGS]
