@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
 
-from .descriptor import GridDescriptor
+from .descriptor import GridDescriptor, _checked_bins
 from .errors import LbpxError, ModelFormatError, ModelMismatchError, ParameterError, TrainingError
 from .image import fields_equal, frozen_array, open_file, read_text_file
 from .lbp import LbpParams
@@ -27,10 +27,10 @@ def _chi2_terms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(np.square(a - b), total, out=np.zeros(total.shape), where=total > 0)
 
 
-def _same_layout(desc: GridDescriptor, like: GridDescriptor | Model, length: int) -> bool:
-    """Whether `desc` has the params and grid of `like` and `length` values."""
-    ours = desc.params, desc.grid_rows, desc.grid_cols, len(desc.values)
-    return ours == (like.params, like.grid_rows, like.grid_cols, length)
+def _same_layout(desc: GridDescriptor, like: GridDescriptor | Model) -> bool:
+    """Whether `desc` has the params and grid, and so the bin count, of `like`."""
+    ours = desc.params, desc.grid_rows, desc.grid_cols
+    return ours == (like.params, like.grid_rows, like.grid_cols)
 
 
 def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=None) -> np.ndarray:
@@ -50,6 +50,12 @@ def _distances(templates: np.ndarray, query: np.ndarray, metric: str, weights=No
         return (regions * weights).sum(axis=1)
 
 
+def _check_weights(weights: np.ndarray) -> None:
+    # NaN fails every comparison
+    if not np.all((weights >= 0) & (weights < np.inf)):
+        raise ParameterError("region weights must be finite and non-negative")
+
+
 def _check_metric(metric: str, weights) -> None:
     """Raise ParameterError unless `metric` is known and, for wchi2, `weights` are given."""
     if metric not in METRICS:
@@ -63,7 +69,7 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
 
     chi2       sum (a-b)^2 / (a+b), skipping bins where a+b == 0
     wchi2      chi2 with each region's partial sum scaled by its weight;
-               `weights` must have one non-negative entry per region
+               `weights` must have one finite, non-negative entry per region
     intersect  1 - sum min(a, b), for L1-normalized inputs
     l1         sum |a - b|
     """
@@ -78,8 +84,7 @@ def distance(a, b, metric: str = "chi2", weights=None) -> float:
             raise ParameterError(
                 f"descriptor length {len(a)} is not divisible into {len(weights)} regions"
             )
-        if np.any(weights < 0):
-            raise ParameterError("region weights must be non-negative")
+        _check_weights(weights)
     return float(_distances(a[np.newaxis], b, metric, weights)[0])
 
 
@@ -89,7 +94,7 @@ def check_class_label(label, error: type[LbpxError]) -> None:
     A legal label is a non-empty string with no newline, carriage return or
     tab, so `classify` prints it as one field of one line. Every `Model`
     checks its labels with it; `build_templates` also checks each sample's
-    label before it groups and sorts them.
+    label as it reads the sample.
     """
     if not isinstance(label, str) or not label or any(c in label for c in "\n\r\t"):
         raise error(
@@ -104,8 +109,8 @@ class Model:
 
     Class labels pass `check_class_label`, are unique and are stored in
     ascending lexicographic order; templates[i] belongs to class_labels[i].
-    Every region of the rows x cols grid has one bin per label of `params`.
-    Bins lie in [0, 1]; the optional per-region weights are finite and >= 0.
+    The templates pass `_checked_bins`, one row per class; the optional
+    per-region weights are finite and >= 0.
     """
 
     params: LbpParams
@@ -121,28 +126,15 @@ class Model:
             check_class_label(label, ParameterError)
         if not labels or list(labels) != sorted(set(labels)):
             raise ParameterError(f"class labels must be non-empty, unique and sorted: {labels!r}")
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ParameterError(f"grid {self.grid_rows}x{self.grid_cols} has no cells")
-        regions = self.grid_rows * self.grid_cols
-        bins = self.params.label_count
-        templates = frozen_array(self.templates, np.float64)
-        if templates.shape != (len(labels), regions * bins):
-            raise ParameterError(
-                f"templates of shape {templates.shape} are not one row per class "
-                f"({len(labels)}) of {regions} regions x {bins} labels"
-            )
-        object.__setattr__(self, "templates", templates)
+        object.__setattr__(self, "templates", _checked_bins(self, self.templates, (len(labels),)))
         weights = self.region_weights
         if weights is not None:
             weights = frozen_array(weights, np.float64)
+            regions = self.grid_rows * self.grid_cols
             if weights.shape != (regions,):
                 raise ParameterError(f"need {regions} region weights, got shape {weights.shape}")
+            _check_weights(weights)
             object.__setattr__(self, "region_weights", weights)
-        # NaN fails every comparison; a template bin is a normalized count
-        if not np.all((templates >= 0) & (templates <= 1)):
-            raise ParameterError("template bins must lie in [0, 1]")
-        if weights is not None and not np.all((weights >= 0) & (weights < np.inf)):
-            raise ParameterError("region weights must be finite and non-negative")
 
     @property
     def n_classes(self) -> int:
@@ -151,44 +143,39 @@ class Model:
     __eq__ = fields_equal
 
 
-def build_templates(samples, region_weights=None) -> Model:
+def build_templates(samples) -> Model:
     """Average each class's sample descriptors into one template per class.
 
-    `samples` is a sequence of (class label, GridDescriptor) pairs sharing a
-    single configuration; each template's region slices are re-normalized to
-    sum 1 after averaging.
+    `samples` is an iterable of (class label, GridDescriptor) pairs sharing a
+    single configuration. It is read once, into one running sum per class,
+    and the first bad sample stops it. Each template's region slices are
+    re-normalized to sum 1 after averaging.
     """
-    samples = list(samples)
-    if not samples:
-        raise TrainingError("no training samples")
-    reference = samples[0][1]
-    by_class: dict[str, list[np.ndarray]] = {}
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    reference = None
     for label, desc in samples:
         check_class_label(label, TrainingError)
-        if not _same_layout(desc, reference, len(reference.values)):
+        reference = reference or desc
+        if not _same_layout(desc, reference):
             raise TrainingError(
                 f"sample for class {label!r} has a different descriptor configuration"
             )
-        by_class.setdefault(label, []).append(desc.values)
-
-    labels = tuple(sorted(by_class))
-    means = np.array([np.mean(by_class[label], axis=0) for label in labels])
-    try:
-        # the Model checks the region layout the reshape below relies on
-        model = Model(
-            params=reference.params,
-            grid_rows=reference.grid_rows,
-            grid_cols=reference.grid_cols,
-            class_labels=labels,
-            templates=means,
-            region_weights=region_weights,
-        )
-    except ParameterError as exc:
-        raise TrainingError(str(exc)) from None
+        if label in sums:
+            sums[label] += desc.values
+        else:
+            sums[label] = desc.values.copy()
+        counts[label] = counts.get(label, 0) + 1
+    if reference is None:
+        raise TrainingError("no training samples")
+    labels = tuple(sorted(sums))
+    # valid descriptors give means, and so normalized bins, in [0, 1]; each
+    # sum is dropped once divided
+    means = np.array([sums.pop(label) / counts[label] for label in labels])
     regions = means.reshape(len(labels), reference.region_count, -1)
-    sums = regions.sum(axis=2, keepdims=True)
-    np.divide(regions, sums, out=regions, where=sums > 0)
-    return replace(model, templates=means)
+    totals = regions.sum(axis=2, keepdims=True)
+    np.divide(regions, totals, out=regions, where=totals > 0)
+    return Model(reference.params, reference.grid_rows, reference.grid_cols, labels, means)
 
 
 def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[str, np.ndarray]:
@@ -196,7 +183,7 @@ def predict(model: Model, query: GridDescriptor, metric: str = "chi2") -> tuple[
 
     Ties break toward the lexicographically smallest label.
     """
-    if not _same_layout(query, model, model.templates.shape[1]):
+    if not _same_layout(query, model):
         raise ModelMismatchError("query descriptor configuration does not match the model")
     _check_metric(metric, model.region_weights)
     scores = _distances(model.templates, query.values, metric, model.region_weights)

@@ -14,6 +14,24 @@ from .lbp import LbpMap, LbpParams, _coded
 _MAX_BINS = 2**24
 
 
+def _checked_bins(layout, values, leading=()) -> np.ndarray:
+    """Frozen float64 copy of `values`, the bins of a record with the `params`,
+    `grid_rows` and `grid_cols` of `layout`: shape `leading` + (one bin per
+    label per cell,), each bin in [0, 1]. Else ParameterError."""
+    rows, cols = layout.grid_rows, layout.grid_cols
+    if rows < 1 or cols < 1:
+        raise ParameterError(f"grid must be at least 1x1, got {rows}x{cols}")
+    arr = frozen_array(values, np.float64)
+    shape = (*leading, rows * cols * layout.params.label_count)
+    if arr.shape != shape:
+        raise ParameterError(f"bins of shape {arr.shape} do not fit the grid's {shape}")
+    # a bin is a normalized count; min and max are NaN if any bin is, and NaN
+    # fails every comparison
+    if not (arr.min() >= 0 and arr.max() <= 1):
+        raise ParameterError("bins must lie in [0, 1]")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GridDescriptor:
     """Concatenation of per-cell L1-normalized label histograms, row-major cells."""
@@ -24,7 +42,7 @@ class GridDescriptor:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", frozen_array(self.values, np.float64))
+        object.__setattr__(self, "values", _checked_bins(self, self.values))
 
     @property
     def region_count(self) -> int:
@@ -32,7 +50,7 @@ class GridDescriptor:
 
     @property
     def bin_count(self) -> int:
-        return len(self.values) // self.region_count
+        return self.params.label_count
 
     __eq__ = fields_equal
 
@@ -40,12 +58,7 @@ class GridDescriptor:
 def _cell_edges(extent: int, cells: int) -> list[tuple[int, int]]:
     # floor-sized cells; the last one absorbs the remainder
     base = extent // cells
-    edges = []
-    for i in range(cells):
-        start = i * base
-        stop = extent if i == cells - 1 else (i + 1) * base
-        edges.append((start, stop))
-    return edges
+    return [(i * base, extent if i == cells - 1 else (i + 1) * base) for i in range(cells)]
 
 
 def grid_values(

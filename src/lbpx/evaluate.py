@@ -108,14 +108,13 @@ def train_model(
     grid_cols: int = 3,
     base_dir=None,
 ) -> Model:
-    """Build per-class templates from the manifest's train split."""
+    """Build per-class templates from the manifest's train split, one image at a time."""
     train = manifest.split("train")
     if not train:
         raise EvaluationError("manifest has no train entries")
-    samples = [
+    return build_templates(
         (e.label, _describe_entry(e, params, grid_rows, grid_cols, base_dir)) for e in train
-    ]
-    return build_templates(samples)
+    )
 
 
 def evaluate(

@@ -1,6 +1,7 @@
 """Distance metric, template building, and model serialization tests."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,19 @@ class TestDistance:
         with pytest.raises(ParameterError):
             distance([1.0, 2.0], [1.0, 2.0], "wchi2", weights=[-1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "a, b, weights",
+        [([0.5, 0.5], [0.2, 0.8], [np.nan]), ([0.5, 0.5], [0.5, 0.5], [np.inf])],
+        ids=["nan-weight", "inf-weight-on-equal-regions"],
+    )
+    def test_wchi2_rejects_non_finite_weights_as_model_does(self, a, b, weights):
+        # they gave NaN, the second with a RuntimeWarning, where Model refuses them
+        rule = "^region weights must be finite and non-negative$"
+        with pytest.raises(ParameterError, match=rule):
+            distance(a, b, "wchi2", weights)
+        with pytest.raises(ParameterError, match=rule):
+            Model(LbpParams(), 1, 1, ("x",), full(a)[np.newaxis], region_weights=weights)
+
 
 class TestBuildTemplates:
     def test_single_sample_template_is_the_sample(self):
@@ -183,31 +197,44 @@ class TestBuildTemplates:
             with pytest.raises(TrainingError, match="newline"):
                 build_templates([(label, desc)])
 
-    def test_region_weights_attached_and_validated(self):
-        desc = make_descriptor([0.5, 0.5, 0.5, 0.5], grid_rows=2, grid_cols=1)
-        model = build_templates([("x", desc)], region_weights=[1.0, 4.0])
-        assert model.region_weights.tolist() == [1.0, 4.0]
-        with pytest.raises(TrainingError):
-            build_templates([("x", desc)], region_weights=[1.0])
-        with pytest.raises(TrainingError):
-            build_templates([("x", desc)], region_weights=[1.0, -2.0])
+    def test_reads_a_one_shot_iterator(self):
+        samples = iter([("x", make_descriptor([1.0, 0.0])), ("x", make_descriptor([0.0, 1.0]))])
+        model = build_templates(samples)
+        assert model.templates[0].tolist() == full([0.5, 0.5]).tolist()
+        assert next(samples, None) is None
 
-    @pytest.mark.parametrize(
-        "values, weights",
-        [([0.5, np.nan, 0.5, 0.5], None), ([0.5, np.inf, 0.5, 0.5], None),
-         ([0.5, 0.5, 0.5, 0.5], [1.0, np.inf]), ([0.5, 0.5, 0.5, 0.5], [1.0, np.nan])],
-        ids=["nan-bin", "inf-bin", "inf-weight", "nan-weight"],
-    )
-    def test_non_finite_input_raises(self, values, weights):
-        desc = make_descriptor(values, grid_rows=2, grid_cols=1)
-        with pytest.raises(TrainingError):
-            build_templates([("x", desc)], region_weights=weights)
+    def test_stops_at_the_first_bad_sample(self):
+        read = []
 
-    def test_weight_count_must_equal_region_count(self):
-        # 3 weights divide a 9-region template's length but do not match its grid
-        desc = make_descriptor(np.full(27, 1 / 3), grid_rows=3, grid_cols=3)
+        def samples():
+            for label in ("x", "", "y"):
+                read.append(label)
+                yield label, make_descriptor([1.0, 0.0])
+
         with pytest.raises(TrainingError):
-            build_templates([("x", desc)], region_weights=[1.0, 1.0, 1.0])
+            build_templates(samples())
+        assert read == ["x", ""]
+
+    def test_templates_equal_mean_then_normalize_bitwise(self):
+        rng = np.random.default_rng(24)
+        for n in range(1, 41):
+            rows, cols = rng.integers(1, 4, size=2)
+            samples = []
+            for label in ("a", "b"):
+                # sparse bins, some regions all zero, each descriptor a valid one
+                bins = rng.random((n, rows * cols, BINS)) * (rng.random((n, 1, BINS)) < 0.3)
+                totals = bins.sum(axis=2, keepdims=True)
+                bins = np.divide(bins, totals, out=np.zeros_like(bins), where=totals > 0)
+                samples += [(label, GridDescriptor(rows, cols, LbpParams(), b.reshape(-1)))
+                            for b in bins]
+            order = rng.permutation(len(samples))
+            model = build_templates(samples[i] for i in order)
+            for k, label in enumerate(model.class_labels):
+                rows_of = [samples[i][1].values for i in order if samples[i][0] == label]
+                mean = np.mean(rows_of, axis=0).reshape(rows * cols, BINS)
+                totals = mean.sum(axis=1, keepdims=True)
+                np.divide(mean, totals, out=mean, where=totals > 0)
+                assert model.templates[k].tobytes() == mean.tobytes()
 
 
 class TestPredict:
@@ -255,7 +282,7 @@ class TestPredict:
             grid_rows=1,
             grid_cols=1,
             params=LbpParams(mapping="raw"),
-            values=np.array([1.0, 0.0]),
+            values=np.eye(1, 256).reshape(-1),
         )
         with pytest.raises(ModelMismatchError):
             predict(model, bad_params)
@@ -281,14 +308,14 @@ class TestPredict:
         # a region's weighted chi2 overflows to inf, never NaN, and the tie
         # goes to the smallest label
         desc = make_descriptor([1.0, 0.0, 0.0, 1.0], grid_rows=2, grid_cols=1)
-        model = build_templates([("x", desc), ("y", desc)], region_weights=[1e308, 1e308])
+        model = replace(build_templates([("x", desc), ("y", desc)]), region_weights=[1e308] * 2)
         query = make_descriptor([0.0, 1.0, 1.0, 0.0], grid_rows=2, grid_cols=1)
         label, scores = predict(model, query, "wchi2")
         assert label == "x" and scores.tolist() == [float("inf")] * 2
 
     def test_wchi2_uses_model_weights(self):
         desc = make_descriptor([1.0, 0.0, 0.0, 1.0], grid_rows=2, grid_cols=1)
-        model = build_templates([("x", desc)], region_weights=[0.0, 1.0])
+        model = replace(build_templates([("x", desc)]), region_weights=[0.0, 1.0])
         query = make_descriptor([0.0, 1.0, 0.0, 1.0], grid_rows=2, grid_cols=1)
         _, scores = predict(model, query, "wchi2")
         # first region differs but carries zero weight
@@ -327,13 +354,13 @@ class TestPredict:
 
 class TestModelSerialization:
     def make_model(self):
-        return build_templates(
+        model = build_templates(
             [
                 ("sand", make_descriptor([0.25, 0.75, 0.0, 1.0], grid_rows=2, grid_cols=1)),
                 ("rock", make_descriptor([1.0, 0.0, 0.5, 0.5], grid_rows=2, grid_cols=1)),
-            ],
-            region_weights=[1.0, 2.0],
+            ]
         )
+        return replace(model, region_weights=[1.0, 2.0])
 
     def test_round_trip_preserves_model(self):
         model = self.make_model()
@@ -362,7 +389,7 @@ class TestModelSerialization:
             for path, label, split in rows
             if split == "train"
         ]
-        model = build_templates(samples, region_weights=[0.5, 1.0, 2.0, 0.25])
+        model = replace(build_templates(samples), region_weights=[0.5, 1.0, 2.0, 0.25])
         golden = GOLDEN / "model_weighted.json"
         assert serialize_model(model) == golden.read_text()
         save_model(model, tmp_path / "model.json")

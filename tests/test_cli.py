@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -440,6 +441,17 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("lbpx: ") and captured.err.count("\n") == 1
+
+    def test_bad_label_stops_training_before_later_images_are_read(self, tmp_path, rng, capsys):
+        # the second image does not exist: reading it would exit 2
+        save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            'path,label,split\na.pgm,"a\tb",train\nmissing.pgm,b,train\n', encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert run_cli(["train", "--manifest", str(manifest)]) == 1
+        assert "missing.pgm" not in capsys.readouterr().err
 
     def test_manifest_without_train_rows_exits_3(self, tmp_path, rng):
         save_pgm_file(texture_image("flat", 16, rng), tmp_path / "a.pgm")
@@ -1242,3 +1254,44 @@ def test_dataclass_fields_are_pinned():
                   "region_weights"],
     }
     assert sum(map(len, fields.values())) == 34
+
+
+def test_function_parameters_are_pinned():
+    # the parameter names of the exported functions, so a new knob shows up here
+    params = {
+        name: list(inspect.signature(getattr(lbpx, name)).parameters)
+        for name in sorted(lbpx.__all__)
+        if inspect.isfunction(getattr(lbpx, name))
+    }
+    assert params == {
+        "benchmark_fps": ["img", "params", "iterations"],
+        "build_templates": ["samples"],
+        "circular_offsets": ["neighbors", "radius"],
+        "describe_image": ["img", "params", "grid_rows", "grid_cols"],
+        "deserialize_model": ["text"],
+        "distance": ["a", "b", "metric", "weights"],
+        "evaluate": ["manifest", "params", "grid_rows", "grid_cols", "metric", "base_dir"],
+        "grid_descriptor": ["lmap", "grid_rows", "grid_cols"],
+        "integral_image": ["img"],
+        "iou": ["a", "b"],
+        "label_count": ["mode", "neighbors"],
+        "lbp_code_3x3": ["patch"],
+        "lbp_code_circular": ["img", "cx", "cy", "params"],
+        "lbp_map": ["img", "params"],
+        "lbp_map_to_image": ["lmap"],
+        "load_manifest": ["text"],
+        "load_manifest_file": ["path"],
+        "load_model": ["path"],
+        "load_pgm": ["data"],
+        "load_pgm_file": ["path"],
+        "nms": ["detections", "iou_threshold"],
+        "predict": ["model", "query", "metric"],
+        "region_sum": ["ii", "x0", "y0", "x1", "y1"],
+        "save_model": ["model", "path"],
+        "save_pgm": ["img"],
+        "save_pgm_file": ["img", "path"],
+        "scan_detect": ["scene", "template_model", "window", "stride", "threshold"],
+        "serialize_model": ["model"],
+        "train_model": ["manifest", "params", "grid_rows", "grid_cols", "base_dir"],
+        "uniformity": ["code", "neighbors"],
+    }

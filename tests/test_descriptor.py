@@ -5,6 +5,7 @@ import pytest
 
 from lbpx import (
     GrayImage,
+    GridDescriptor,
     LbpParams,
     ParameterError,
     describe_image,
@@ -108,6 +109,34 @@ class TestGridDescriptor:
         desc = grid_descriptor(lbp_map(random_image(rng, 8, 8), LbpParams()))
         with pytest.raises(ValueError):
             desc.values[0] = 9.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"grid_rows": 0},
+            {"grid_cols": -1},
+            {"values": np.full((2, 2 * 59), 0.5)},
+            {"values": np.full(5, 0.5)},
+            {"values": np.full(2 * 59 + 1, 0.5)},
+            {"values": np.full(2 * 59, np.nan)},
+            {"values": np.r_[np.inf, np.zeros(2 * 59 - 1)]},
+            {"values": np.r_[-0.25, np.zeros(2 * 59 - 1)]},
+            {"values": np.r_[1.5, np.zeros(2 * 59 - 1)]},
+        ],
+        ids=["zero-grid", "negative-grid", "2-d-values", "short-values", "long-values",
+             "nan-bin", "inf-bin", "negative-bin", "above-one-bin"],
+    )
+    def test_constructor_checks_invariants(self, kwargs):
+        # a layout the descriptor cannot hold is refused, not given a bin count of 0
+        fields = {
+            "grid_rows": 1,
+            "grid_cols": 2,
+            "params": LbpParams(),
+            "values": np.full(2 * 59, 0.5),
+        }
+        assert GridDescriptor(**fields).bin_count == 59
+        with pytest.raises(ParameterError):
+            GridDescriptor(**{**fields, **kwargs})
 
 
 OPERATORS = [("square3x3", 8, 1.0)] + [

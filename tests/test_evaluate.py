@@ -1,6 +1,7 @@
 """Manifest parsing, train/test evaluation, and benchmark tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ class TestTrainModel:
         manifest = load_manifest("path,label,split\nghost.pgm,x,train\n")
         with pytest.raises(OSError):
             train_model(manifest, LbpParams(), base_dir=tmp_path)
+
+    def test_peak_memory_does_not_grow_with_the_image_count(self, tmp_path, rng):
+        # one running sum per class: 60 images of 147,456-value descriptors (circular
+        # P14 R3 raw, 3x3 grid) peak near 6.2 descriptor sizes, not one per image
+        rows = ["path,label,split"]
+        for i in range(60):
+            save_pgm_file(random_image(rng, 64, 64), tmp_path / f"{i}.pgm")
+            rows.append(f"{i}.pgm,{'ab'[i % 2]},train")
+        manifest = load_manifest("\n".join(rows) + "\n")
+        params = LbpParams(neighbors=14, radius=3.0, sampling="circular", mapping="raw")
+        tracemalloc.start()
+        try:
+            model = train_model(manifest, params, base_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        descriptor_bytes = model.templates[0].nbytes
+        assert descriptor_bytes == 9 * 2**14 * 8
+        assert peak / descriptor_bytes < 16
 
     def test_corrupt_image_error_names_the_file(self, tmp_path):
         (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n255\nxy")

@@ -278,7 +278,7 @@ class TestFrozenArrays:
             (lambda a: GrayImage(a.astype(np.uint8)), "pixels"),
             (lambda a: IntegralImage(a.astype(np.int64)), "sums"),
             (lambda a: LbpMap(params=LbpParams(), labels=a.astype(np.int32)), "labels"),
-            (lambda a: GridDescriptor(1, 1, LbpParams(), a), "values"),
+            (lambda a: GridDescriptor(1, 2, LbpParams(), a.reshape(-1)), "values"),
             (lambda a: Model(LbpParams(), 1, 1, ("x", "y"), a), "templates"),
             (
                 lambda a: EvalReport(
@@ -292,15 +292,17 @@ class TestFrozenArrays:
         ids=["GrayImage", "IntegralImage", "LbpMap", "GridDescriptor", "Model", "EvalReport"],
     )
     def test_caller_array_stays_writable(self, build, field):
-        # two rows of the default operator's 59 labels make valid Model templates
+        # two rows of the default operator's 59 labels make valid Model templates,
+        # and as one row the bins of a 1x2-cell descriptor
         src = np.ones((2, 59))
         obj = build(src)
         stored = getattr(obj, field)
+        first = (0,) * stored.ndim
         src[0, 0] = 0.0
-        assert stored[0, 0] == 1
+        assert stored[first] == 1
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
-            stored[0, 0] = 5
+            stored[first] = 5
 
     def test_model_weights_are_copied(self):
         weights = np.ones(4)
