@@ -14,13 +14,17 @@ from .lbp import LbpMap, LbpParams, _coded
 _MAX_BINS = 2**24
 
 
+def _check_grid(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise ParameterError(f"grid must be at least 1x1, got {rows}x{cols}")
+
+
 def _checked_bins(layout, values, leading=()) -> np.ndarray:
     """Frozen float64 copy of `values`, the bins of a record with the `params`,
     `grid_rows` and `grid_cols` of `layout`: shape `leading` + (one bin per
     label per cell,), each bin in [0, 1]. Else ParameterError."""
     rows, cols = layout.grid_rows, layout.grid_cols
-    if rows < 1 or cols < 1:
-        raise ParameterError(f"grid must be at least 1x1, got {rows}x{cols}")
+    _check_grid(rows, cols)
     arr = frozen_array(values, np.float64)
     shape = (*leading, rows * cols * layout.params.label_count)
     if arr.shape != shape:
@@ -65,18 +69,30 @@ def grid_values(
     values: np.ndarray, grid_rows: int, grid_cols: int, bin_count: int, table=None
 ) -> np.ndarray:
     """Concatenated normalized cell histograms of a 2-D array of labels, or
-    of codes that count toward label table[code] when a `table` is given."""
+    of codes that count toward label table[code] when a `table` is given.
+    The grid is checked before anything is allocated: at least 1x1, at most
+    2^24 values counted over all cells, and no larger than the array."""
     height, width = values.shape
+    _check_grid(grid_rows, grid_cols)
+    cells = grid_rows * grid_cols
+    value_count = bin_count if table is None else len(table)
+    if cells * value_count > _MAX_BINS:
+        raise ParameterError(
+            f"grid {grid_rows}x{grid_cols} needs {cells * value_count:,} histogram bins, "
+            f"more than {_MAX_BINS:,}"
+        )
+    if grid_rows > height or grid_cols > width:
+        raise ParameterError(
+            f"grid {grid_rows}x{grid_cols} exceeds map dimensions {width}x{height}"
+        )
     row_edges = _cell_edges(height, grid_rows)
     col_sizes = [stop - start for start, stop in _cell_edges(width, grid_cols)]
     # count once: each value moves to bin (cell index x value_count + value),
     # written in one pass as the intp that bincount reads without a cast
-    value_count = bin_count if table is None else len(table)
     col_base = np.repeat(np.arange(grid_cols, dtype=np.intp) * value_count, col_sizes)
     bins = np.empty(values.shape, dtype=np.intp)
     for row, (start, stop) in enumerate(row_edges):
         np.add(values[start:stop], col_base + row * grid_cols * value_count, out=bins[start:stop])
-    cells = grid_rows * grid_cols
     counts = np.bincount(bins.reshape(-1), minlength=cells * value_count)
     if table is not None:
         # exact: weights are integer counts far below 2^53
@@ -86,33 +102,14 @@ def grid_values(
     return (counts.reshape(cells, bin_count) / cell_sizes.reshape(-1, 1)).reshape(-1)
 
 
-def _describe(
-    values: np.ndarray, params: LbpParams, grid_rows: int, grid_cols: int, table=None
-) -> GridDescriptor:
-    """Check the grid against 2-D labels, or codes of `table`, and count them."""
-    height, width = values.shape
-    if grid_rows < 1 or grid_cols < 1:
-        raise ParameterError(f"grid must be at least 1x1, got {grid_rows}x{grid_cols}")
-    bins = grid_rows * grid_cols * (params.label_count if table is None else len(table))
-    if bins > _MAX_BINS:
-        raise ParameterError(
-            f"grid {grid_rows}x{grid_cols} needs {bins:,} histogram bins, more than {_MAX_BINS:,}"
-        )
-    if grid_rows > height or grid_cols > width:
-        raise ParameterError(
-            f"grid {grid_rows}x{grid_cols} exceeds map dimensions {width}x{height}"
-        )
-    values = grid_values(values, grid_rows, grid_cols, params.label_count, table)
-    return GridDescriptor(grid_rows=grid_rows, grid_cols=grid_cols, params=params, values=values)
-
-
 def grid_descriptor(lmap: LbpMap, grid_rows: int = 3, grid_cols: int = 3) -> GridDescriptor:
     """Partition the map into a grid and concatenate per-cell histograms.
 
     Cell widths are floor(width / grid_cols) with the last column absorbing
     the remainder (same for rows), so every map pixel is counted once.
     """
-    return _describe(lmap.labels, lmap.params, grid_rows, grid_cols)
+    values = grid_values(lmap.labels, grid_rows, grid_cols, lmap.params.label_count)
+    return GridDescriptor(grid_rows, grid_cols, lmap.params, values)
 
 
 def describe_image(
@@ -123,4 +120,5 @@ def describe_image(
     through the mapping table, beyond that labels are counted (see `_coded`)."""
     values, mapping = _coded(img, params)
     table = None if mapping is None else mapping.table
-    return _describe(values, params, grid_rows, grid_cols, table)
+    values = grid_values(values, grid_rows, grid_cols, params.label_count, table)
+    return GridDescriptor(grid_rows, grid_cols, params, values)

@@ -69,24 +69,23 @@ def _chi2_scores(
     full: np.ndarray,
     templates: np.ndarray,
     map_size: tuple[int, int],
-    positions: tuple[int, int],
     stride: int,
 ) -> np.ndarray:
     """Chi-square distance of each window's grid histogram to `templates[r, c]`.
 
-    Window (i, j) covers full[i*stride : i*stride + map_h, ...]. All cell
-    corners lie on multiples of g = gcd(stride, cell edges) on each axis, so
-    counts come one label b at a time from b's count per g-by-g block: box
-    sums of those counts over each cell size, in the narrowest unsigned type
-    that holds a cell's area, give a cell's count at every block, and a
-    strided slice picks the window positions. The `_chi2_terms` of each
-    possible count are tabulated per cell. Memory stays O(H*W) whatever the
-    bin count; only the order in which terms are summed differs from the
-    per-window computation.
+    Window (i, j) covers full[i*stride : i*stride + map_h, ...], for every
+    window that fits in `full`. All cell corners lie on multiples of
+    g = gcd(stride, cell edges) on each axis, so counts come one label b at
+    a time from b's count per g-by-g block: box sums of those counts over
+    each cell size, in the narrowest unsigned type that holds a cell's area,
+    give a cell's count at every block, and a strided slice picks the window
+    positions. The `_chi2_terms` of each possible count are tabulated per
+    cell. Memory stays O(H*W) whatever the bin count; only the order in
+    which terms are summed differs from the per-window computation.
     """
     rows, cols, bins = templates.shape
     map_h, map_w = map_size
-    ny, nx = positions
+    ny, nx = ((n - m) // stride + 1 for n, m in zip(full.shape, map_size))
     row_cells = _cell_edges(map_h, rows)
     col_cells = _cell_edges(map_w, cols)
     gy = math.gcd(stride, *(e for cell in row_cells for e in cell))
@@ -168,13 +167,8 @@ def _scan(
     # so one map computation serves every window position.
     full = lbp_map(scene, params).labels
     rows, cols = template_model.grid_rows, template_model.grid_cols
-    scores = _chi2_scores(
-        full,
-        template_model.templates[0].reshape(rows, cols, -1),
-        (map_h, map_w),
-        ((scene.height - win_h) // stride + 1, (scene.width - win_w) // stride + 1),
-        stride,
-    )
+    templates = template_model.templates[0].reshape(rows, cols, -1)
+    scores = _chi2_scores(full, templates, (map_h, map_w), stride)
     ys, xs = np.nonzero(scores <= threshold)
     hit_scores = scores[ys, xs]
     # nonzero lists hits in scan order, so a stable sort breaks score ties by (y, x)

@@ -79,20 +79,30 @@ def load_manifest_file(path) -> Manifest:
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Accuracy and confusion counts of one evaluation; its caller keeps the configuration."""
+    """Confusion counts of one evaluation, true classes by predicted classes in
+    `class_labels` order; its caller keeps the configuration."""
 
-    accuracy: float
     class_labels: tuple[str, ...]
     confusion: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "confusion", frozen_array(self.confusion, np.int64))
+        confusion = frozen_array(self.confusion, np.int64)
+        k = len(self.class_labels)
+        if confusion.shape != (k, k):
+            raise ParameterError(f"confusion of shape {confusion.shape} does not fit {k} classes")
+        if not ((confusion >= 0).all() and confusion.sum() > 0):
+            raise ParameterError("confusion counts must be non-negative with a positive total")
+        object.__setattr__(self, "confusion", confusion)
 
     __eq__ = fields_equal
 
     @property
     def n_test(self) -> int:
         return int(self.confusion.sum())
+
+    @property
+    def accuracy(self) -> float:
+        return float(np.trace(self.confusion)) / self.n_test
 
 
 def _describe_entry(entry: ManifestEntry, params: LbpParams, rows: int, cols: int, base_dir):
@@ -148,8 +158,7 @@ def evaluate(
         desc = _describe_entry(entry, params, grid_rows, grid_cols, base_dir)
         predicted, _ = predict(model, desc, metric)
         confusion[index[entry.label], index[predicted]] += 1
-    accuracy = float(np.trace(confusion)) / len(test)
-    return EvalReport(accuracy=accuracy, class_labels=model.class_labels, confusion=confusion)
+    return EvalReport(class_labels=model.class_labels, confusion=confusion)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Grid histogram descriptor tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,23 @@ class TestGridValues:
                 idx += 10
         expected = np.bincount(labels.reshape(-1), minlength=10)
         assert np.allclose(counts, expected)
+
+    @pytest.mark.parametrize("grid", [(0, 2), (-1, 2), (5, 1), (4096, 4096)])
+    def test_bad_grid_raises_before_counting(self, grid, rng):
+        # describe_image's refusal for a 4x4 map of 256 codes, the default
+        # operator's, with nothing allocated for the grid
+        img = GrayImage(rng.integers(0, 256, size=(6, 6)))
+        expected = _outcome(lambda: describe_image(img, LbpParams(), *grid))
+        labels = np.zeros((4, 4), dtype=np.int32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError) as excinfo:
+                grid_values(labels, *grid, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == expected
+        assert peak < 2**20
 
 
 class TestGridDescriptor:

@@ -367,7 +367,7 @@ class TestScanDetect:
         )
         tracemalloc.start()
         try:
-            _chi2_scores(full, model.templates[0].reshape(3, 3, -1), (30, 30), (209, 289), 1)
+            _chi2_scores(full, model.templates[0].reshape(3, 3, -1), (30, 30), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -476,7 +476,7 @@ class TestScoresMatchSummedAreaOracle:
         for stride in strides:
             positions = tuple((n - m) // stride + 1 for n, m in zip(shape, map_size))
             want = chi2_scores_oracle(full, templates, map_size, positions, stride)
-            got = _chi2_scores(full, templates, map_size, positions, stride)
+            got = _chi2_scores(full, templates, map_size, stride)
             assert np.array_equal(got, want), stride
 
     @pytest.mark.parametrize(

@@ -167,12 +167,28 @@ class TestEvaluate:
             evaluate(manifest, LbpParams(), base_dir=tmp_path)
 
     def test_n_test_is_the_confusion_total(self):
-        report = EvalReport(
-            accuracy=0.75,
-            class_labels=("a", "b"),
-            confusion=[[2, 1], [0, 1]],
-        )
+        report = EvalReport(class_labels=("a", "b"), confusion=[[2, 1], [0, 1]])
         assert report.n_test == report.confusion.sum() == 4
+        assert report.accuracy == 0.75
+
+    def test_accuracy_is_the_trace_over_n_test(self, rng):
+        confusion = rng.integers(0, 30, size=(6, 6))
+        report = EvalReport(class_labels=tuple("abcdef"), confusion=confusion)
+        assert report.accuracy == float(np.trace(confusion)) / report.n_test
+
+    @pytest.mark.parametrize(
+        "class_labels, confusion",
+        [
+            (("a", "b", "c"), [[1, 0], [0, 1]]),
+            (("a", "b"), [[1, 0, 0], [0, 1, 0]]),
+            (("a", "b"), [[2, -1], [0, 1]]),
+            (("a", "b"), [[0, 0], [0, 0]]),  # no accuracy to derive
+        ],
+        ids=["k-mismatch", "not-square", "negative-count", "all-zero"],
+    )
+    def test_report_checks_its_matrix(self, class_labels, confusion):
+        with pytest.raises(ParameterError, match="confusion"):
+            EvalReport(class_labels=class_labels, confusion=confusion)
 
     def test_report_json_layout(self, tmp_path, rng, capsys):
         # the report document is built by the evaluate command

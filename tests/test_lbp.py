@@ -244,6 +244,12 @@ class TestLbpMap:
         assert lmap.origin_offset == 3
         assert (lmap.width, lmap.height) == (20 - 6, 14 - 6)
 
+    def test_repr_names_the_size_and_params_not_the_labels(self):
+        lmap = lbp_map(GrayImage(np.zeros((4, 5), dtype=np.uint8)), LbpParams())
+        assert repr(lmap) == (
+            "LbpMap(3x2, LbpParams(neighbors=8, radius=1.0, sampling='square3x3', mapping='u2'))"
+        )
+
     def test_square_map_positions_match_scalar_codes(self, rng):
         img = random_image(rng, 12, 9)
         lmap = lbp_map(img, LbpParams(mapping="raw"))
