@@ -20,7 +20,7 @@ from .descriptor import describe_image
 from .detect import _lattice_suppress, _scan
 from .errors import LbpxError, ParameterError
 from .evaluate import benchmark_fps, evaluate, load_manifest_file, train_model
-from .lbp import SAMPLING_MODES, LbpParams, lbp_map, lbp_map_to_image
+from .lbp import SAMPLING_MODES, LbpParams, _check_exportable, lbp_map, lbp_map_to_image
 from .image import load_pgm_file, open_file, save_pgm_file
 from .mapping import MAPPING_MODES
 
@@ -97,8 +97,9 @@ def _map_flags(p: argparse.ArgumentParser) -> None:
 
 def _cmd_map(args) -> int:
     params = _params_from_args(args)
-    lmap = lbp_map(load_pgm_file(args.input), params)
-    save_pgm_file(lbp_map_to_image(lmap), args.output)
+    img = load_pgm_file(args.input)
+    _check_exportable(params)  # closed form: refuse before coding the image
+    save_pgm_file(lbp_map_to_image(lbp_map(img, params)), args.output)
     return 0
 
 

@@ -15,7 +15,14 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 def frozen_array(values, dtype) -> np.ndarray:
-    """Read-only C-contiguous copy of `values`; the caller's array stays writable."""
+    """Read-only C-contiguous copy of `values`; the caller's array stays writable.
+
+    An array already read-only, C-contiguous, of `dtype` and owning its memory
+    is kept as it is: only an explicit `setflags(write=True)` can change it.
+    """
+    if (type(values) is np.ndarray and not values.flags.writeable and values.base is None
+            and values.flags.c_contiguous and values.dtype == dtype):
+        return values
     arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr

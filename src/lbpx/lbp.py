@@ -81,10 +81,7 @@ class LbpMap:
         arr = frozen_array(self.labels, np.int32)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError("label map must be a non-empty 2-D array")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.params.label_count):
-            raise ParameterError(
-                f"labels must lie in [0, {self.params.label_count}) for this configuration"
-            )
+        _mapping._check_labels(arr, self.params.label_count)
         object.__setattr__(self, "labels", arr)
 
     @property
@@ -299,10 +296,12 @@ def lbp_map(img: GrayImage, params: LbpParams) -> LbpMap:
     return LbpMap(params=params, labels=labels)
 
 
+def _check_exportable(params: LbpParams) -> None:
+    if params.label_count > 256:
+        raise ParameterError(f"map export needs at most 256 labels, got {params.label_count}")
+
+
 def lbp_map_to_image(lmap: LbpMap) -> GrayImage:
     """Render a map whose labels fit in a byte (at most 256) as a grayscale image."""
-    if lmap.params.label_count > 256:
-        raise ParameterError(
-            f"map export needs at most 256 labels, got {lmap.params.label_count}"
-        )
+    _check_exportable(lmap.params)
     return GrayImage(lmap.labels.astype(np.uint8))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .image import frozen_array
 
 MAPPING_MODES = ("raw", "u2", "ri", "riu2")
 MIN_NEIGHBORS = 2
@@ -38,6 +39,11 @@ def _check_neighbors(neighbors: int) -> None:
         )
 
 
+def _check_labels(labels: np.ndarray, count: int) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= count):
+        raise ParameterError(f"labels must lie in [0, {count}) for this configuration")
+
+
 @dataclass(frozen=True, eq=False)
 class MappingTable:
     """Lookup table from raw P-bit codes to compacted labels."""
@@ -46,8 +52,8 @@ class MappingTable:
     label_count: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.table, dtype=np.int32)
-        arr.setflags(write=False)
+        arr = frozen_array(self.table, np.int32)
+        _check_labels(arr, self.label_count)
         object.__setattr__(self, "table", arr)
 
     def apply(self, codes: np.ndarray) -> np.ndarray:
@@ -101,6 +107,7 @@ def build_mapping(neighbors: int, mode: str) -> MappingTable:
         rank = np.cumsum(reps == np.arange(size, dtype=np.uint32), dtype=np.int32)
         rank -= 1
         table = rank[reps]
+    table.setflags(write=False)  # the record keeps this array rather than a copy
     return MappingTable(table, count)
 
 

@@ -37,7 +37,7 @@ from lbpx import (
     save_pgm_file,
 )
 import lbpx
-from lbpx import cli, descriptor
+from lbpx import cli, descriptor, lbp
 from lbpx.cli import run_cli
 
 from conftest import texture_image, write_texture_corpus
@@ -210,6 +210,22 @@ class TestMapCommand:
         assert code == 1
         assert capsys.readouterr().err == "lbpx: map export needs at most 256 labels, got 352\n"
         assert not out.exists()
+
+    def test_label_space_over_256_is_refused_before_coding(self, tmp_path, sample_image,
+                                                         monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("the image was coded")
+
+        monkeypatch.setattr(lbp, "_coded", never)
+        out = tmp_path / "out.pgm"
+        flags = ["--output", str(out), "--sampling", "circular", "--neighbors", "24",
+                 "--radius", "3", "--mapping", "ri"]
+        assert run_cli(["map", "--input", str(sample_image)] + flags) == 1
+        assert capsys.readouterr().err == "lbpx: map export needs at most 256 labels, got 699252\n"
+        assert not out.exists()
+        # a missing input is still reported first
+        assert run_cli(["map", "--input", str(tmp_path / "none.pgm")] + flags) == 2
+        assert "none.pgm" in capsys.readouterr().err
 
     def test_missing_input_file_exits_2(self, tmp_path, capsys):
         code = run_cli(
@@ -1283,6 +1299,20 @@ def test_dataclass_fields_are_pinned():
                   "region_weights"],
     }
     assert sum(map(len, fields.values())) == 33
+
+
+def test_every_array_record_has_a_frozen_array_case():
+    # a record with an array field states its copy rule in TestFrozenArrays
+    from test_image import TestFrozenArrays
+
+    case = TestFrozenArrays.test_caller_array_stays_writable
+    (mark,) = [m for m in case.pytestmark if m.name == "parametrize"]
+    array_records = {
+        name for name in lbpx.__all__
+        if dataclasses.is_dataclass(getattr(lbpx, name))
+        and any("np.ndarray" in str(f.type) for f in dataclasses.fields(getattr(lbpx, name)))
+    }
+    assert array_records - set(mark.kwargs["ids"]) == set()
 
 
 def test_function_parameters_are_pinned():

@@ -13,6 +13,7 @@ from lbpx import (
     IntegralImage,
     LbpMap,
     LbpParams,
+    MappingTable,
     Model,
     ParameterError,
     PgmFormatError,
@@ -24,7 +25,7 @@ from lbpx import (
     save_pgm_file,
 )
 
-from lbpx.image import _TOKEN, _PgmScanner
+from lbpx.image import _TOKEN, _PgmScanner, frozen_array
 
 from conftest import random_image
 
@@ -273,32 +274,53 @@ class TestGrayImage:
 
 
 class TestFrozenArrays:
-    """Each constructor stores a read-only copy; the caller's array stays writable."""
+    """Each constructor stores a read-only copy; the caller's array stays writable.
+
+    The one exception is an array the record may keep as it is: already
+    read-only, C-contiguous, of the stored dtype and owning its memory.
+    Every exported record with an array field has a case here.
+    """
 
     @pytest.mark.parametrize(
-        "build, field",
+        "build, field, dtype",
         [
-            (lambda a: GrayImage(a.astype(np.uint8)), "pixels"),
-            (lambda a: IntegralImage(a.astype(np.int64)), "sums"),
-            (lambda a: LbpMap(params=LbpParams(), labels=a.astype(np.int32)), "labels"),
-            (lambda a: GridDescriptor(1, 2, LbpParams(), a.reshape(-1)), "values"),
-            (lambda a: Model(LbpParams(), 1, 1, ("x", "y"), a), "templates"),
-            (lambda a: EvalReport(class_labels=("x", "y"), confusion=a[:, :2]), "confusion"),
+            (lambda a: GrayImage(a), "pixels", np.uint8),
+            (lambda a: IntegralImage(a), "sums", np.int64),
+            (lambda a: LbpMap(params=LbpParams(), labels=a), "labels", np.int32),
+            (lambda a: GridDescriptor(1, 2, LbpParams(), a.reshape(-1)), "values", np.float64),
+            (lambda a: Model(LbpParams(), 1, 1, ("x", "y"), a), "templates", np.float64),
+            (lambda a: EvalReport(class_labels=("x", "y"), confusion=a[:, :2]), "confusion",
+             np.int64),
+            (lambda a: MappingTable(a.reshape(-1), 2), "table", np.int32),
         ],
-        ids=["GrayImage", "IntegralImage", "LbpMap", "GridDescriptor", "Model", "EvalReport"],
+        ids=["GrayImage", "IntegralImage", "LbpMap", "GridDescriptor", "Model", "EvalReport",
+             "MappingTable"],
     )
-    def test_caller_array_stays_writable(self, build, field):
+    def test_caller_array_stays_writable(self, build, field, dtype):
         # two rows of the default operator's 59 labels make valid Model templates,
-        # and as one row the bins of a 1x2-cell descriptor
-        src = np.ones((2, 59))
+        # and as one row the bins of a 1x2-cell descriptor; the source already has
+        # the stored dtype, so nothing but the record's own rule makes the copy
+        src = np.ones((2, 59), dtype=dtype)
         obj = build(src)
         stored = getattr(obj, field)
         first = (0,) * stored.ndim
-        src[0, 0] = 0.0
+        assert src.flags.writeable
+        src[0, 0] = 0
         assert stored[first] == 1
         assert not stored.flags.writeable
         with pytest.raises(ValueError):
             stored[first] = 5
+
+    def test_owned_read_only_array_is_kept(self):
+        a = np.arange(4, dtype=np.int32)
+        a.setflags(write=False)
+        assert frozen_array(a, np.int32) is a
+        assert MappingTable(a, 4).table is a
+        # a view, another dtype or a writable array is copied
+        assert frozen_array(a[1:], np.int32).base is None
+        assert frozen_array(a, np.int64) is not a
+        w = np.arange(4, dtype=np.int32)
+        assert frozen_array(w, np.int32) is not w and w.flags.writeable
 
     def test_model_weights_are_copied(self):
         weights = np.ones(4)

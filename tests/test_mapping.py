@@ -1,11 +1,14 @@
 """Mapping table tests with independent bit-string oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from lbpx import (
     MAPPING_MODES,
     LbpParams,
+    MappingTable,
     ParameterError,
     build_mapping,
     label_count,
@@ -244,6 +247,28 @@ class TestTableInvariants:
         table = build_mapping(8, "u2")
         with pytest.raises(ValueError):
             table.table[0] = 5
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, -1, 1]], ids=["count", "negative"])
+    def test_record_rejects_labels_outside_the_label_count(self, labels):
+        # the text LbpMap gives for labels outside its label space
+        message = r"^labels must lie in \[0, 2\) for this configuration$"
+        with pytest.raises(ParameterError, match=message):
+            MappingTable(np.array(labels, dtype=np.int32), 2)
+
+    @pytest.mark.parametrize("mode", ["u2", "raw"])
+    def test_cold_p24_build_keeps_its_table_without_a_copy(self, mode):
+        # a record that copied the 64 MiB table would peak near 128 MiB
+        build_mapping.cache_clear()
+        tracemalloc.start()
+        try:
+            table = build_mapping(24, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            build_mapping.cache_clear()
+        assert table.table.nbytes == 64 * 2**20
+        assert peak <= 1.1 * table.table.nbytes
+        assert not table.table.flags.writeable
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ParameterError):
